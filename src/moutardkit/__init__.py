@@ -48,7 +48,6 @@ from .search import (
     verify_example,
     verify_example_full,
 )
-from .univariate import Poly1D, RationalFn1D
 
 __version__ = "0.1.0"
 
@@ -62,11 +61,9 @@ __all__ = [
     "L2Estimate",
     "MoutardKitError",
     "NEG_INFINITY",
-    "Poly1D",
     "PositivityCertificate",
     "PositivityRefutation",
     "RationalFn",
-    "RationalFn1D",
     "SearchRecord",
     "SeedPair",
     "TransformFamily",

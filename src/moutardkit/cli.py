@@ -3,7 +3,9 @@
 Subcommands: example, transform, verify, positivity, sample, search,
 darboux1d. Every run is deterministic given its flags; exit status is 0
 for success/true, 1 for verified-false/refuted, 2 for usage or input
-errors, 3 for an inconclusive branch-and-bound.
+errors, 3 for an inconclusive branch-and-bound, and 141 (128 + SIGPIPE,
+what a shell reports for a killed writer) when the reader of stdout
+closed it early, as `| head` does.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -134,7 +137,7 @@ def cmd_transform(args) -> int:
     seeds = _load_seeds(args.seeds)
     constant = _parse_fraction(args.constant)
     result = construct.double_transform(seeds, constant)
-    verified = construct.verify_lemma(seeds, constant)
+    verified = construct.verify_lemma(seeds, result)
     _emit(serialization.dumps(_bundle_obj(result, verified)), args.out)
     return EXIT_OK if verified else EXIT_FALSE
 
@@ -273,7 +276,14 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser(default_depth)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

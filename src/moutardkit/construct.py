@@ -122,33 +122,27 @@ def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardRe
     return DoubleMoutardResult(w, c, u, psi1, psi2, theta1, theta2)
 
 
-def verify_lemma(seeds: SeedPair, constant: RationalLike) -> bool:
+def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
     """Check that both transformation branches land on the same potential.
 
     Branch i applies the Moutard potential map with seed omega_i and then
     again with theta_i, the latter expanded through W: Lap(log theta_i)
     = Lap(log W) - Lap(log omega_i). Returns True iff both branches agree
-    with u0 - 2*Lap(log W) and 1/theta1, 1/theta2 both solve L psi = 0.
+    with the common potential result.u = u0 - 2*Lap(log W). That
+    1/theta1, 1/theta2 solve L psi = 0 was checked by `double_transform`,
+    which built `result`.
     """
-    c = as_fraction(constant)
-    family = transform_family(seeds)
-    w = family.antiderivative + BivariatePoly.constant(c)
-    u_common = potential_from_w(seeds.u0, w)
-
+    lap_log_w = log_laplacian(result.w_poly)
     branches = []
     for omega in (seeds.omega1, seeds.omega2):
         u_mid = moutard_potential(seeds.u0, omega)
-        theta_log = log_laplacian(w) - log_laplacian(omega)
+        theta_log = lap_log_w - log_laplacian(omega)
         u_branch = u_mid - theta_log.scale(2)
         # every term of the unreduced branch carries omega^2 by construction
         u_branch = u_branch.cancel_factor(omega * omega)
         branches.append(u_branch)
 
-    if not (branches[0].equals(branches[1]) and branches[0].equals(u_common)):
-        return False
-    psi1 = RationalFn(seeds.omega1, w)
-    psi2 = RationalFn(-seeds.omega2, w)
-    return verify_solution(u_common, psi1) and verify_solution(u_common, psi2)
+    return branches[0].equals(branches[1]) and branches[0].equals(result.u)
 
 
 def calibrate_against(

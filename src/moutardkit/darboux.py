@@ -13,78 +13,70 @@ from fractions import Fraction
 from typing import List
 
 from .errors import SeedNotInKernel, ZeroSeed
-from .polynomials import RationalLike, as_fraction
-from .univariate import Poly1D, RationalFn1D
+from .polynomials import BivariatePoly, RationalFn
 
 
-def log_second_derivative(p: Poly1D) -> RationalFn1D:
+def log_second_derivative(p: BivariatePoly) -> RationalFn:
     """(log p)'' = (p''*p - p'^2) / p^2, exactly."""
-    d1 = p.derivative()
-    return RationalFn1D(p.derivative().derivative() * p - d1 * d1, p * p)
+    d1 = p.diff_x()
+    return RationalFn(d1.diff_x() * p - d1 * d1, p * p)
 
 
-def rf_log_second_derivative(f: RationalFn1D) -> RationalFn1D:
+def rf_log_second_derivative(f: RationalFn) -> RationalFn:
     return log_second_derivative(f.num) - log_second_derivative(f.den)
 
 
-def cancel_x_power(f: RationalFn1D) -> RationalFn1D:
+def cancel_x_power(f: RationalFn) -> RationalFn:
     """Strip the largest power of x dividing both numerator and denominator."""
     if f.num.is_zero:
-        return RationalFn1D(Poly1D.zero(), Poly1D.constant(1))
-    shift = min(
-        min(i for i, _ in f.num.items()),
-        min(i for i, _ in f.den.items()),
-    )
-    if shift == 0:
-        return f
-    return RationalFn1D(
-        Poly1D({i - shift: c for i, c in f.num.items()}),
-        Poly1D({i - shift: c for i, c in f.den.items()}),
-    )
+        return RationalFn.zero()
+    shift = min(i for p in (f.num, f.den) for (i, _), _ in p.items())
+    return f.cancel_factor(BivariatePoly.monomial(shift, 0))
 
 
 @dataclass(frozen=True)
 class DarbouxStep:
-    """A potential u, a seed f of (-d^2/dx^2 + u + k^2) f = 0, and the shift k."""
+    """A potential u, a seed f of (-d^2/dx^2 + u + k^2) f = 0, and the shift k.
 
-    u: RationalFn1D
-    f: RationalFn1D
+    u and f are y-free rational functions, so their Laplacian is d^2/dx^2.
+    """
+
+    u: RationalFn
+    f: RationalFn
     k: Fraction = field(default_factory=lambda: Fraction(0))
 
     def __post_init__(self):
         if self.f.num.is_zero:
             raise ZeroSeed("seed function is zero")
-        shifted_u = self.u + RationalFn1D.from_poly(Poly1D.constant(self.k * self.k))
-        if not self.f.second_derivative().equals(shifted_u * self.f):
+        shifted_u = self.u + RationalFn.constant(self.k * self.k)
+        if not self.f.laplacian().equals(shifted_u * self.f):
             raise SeedNotInKernel("(-d^2/dx^2 + u + k^2) f != 0")
 
 
-def darboux_step(step: DarbouxStep) -> RationalFn1D:
+def darboux_step(step: DarbouxStep) -> RationalFn:
     """Transformed potential u - 2*(log f)''."""
     return step.u - rf_log_second_derivative(step.f).scale(2)
 
 
-def transform_solution(step: DarbouxStep, g: RationalFn1D) -> RationalFn1D:
+def transform_solution(step: DarbouxStep, g: RationalFn) -> RationalFn:
     """Solution map g -> g' - (f'/f) g into the transformed equation."""
     f = step.f
-    f_log = RationalFn1D(
-        f.num.derivative() * f.den - f.num * f.den.derivative(), f.num * f.den
-    )
-    return g.derivative() - f_log * g
+    f_log = RationalFn(f.num.diff_x() * f.den - f.num * f.den.diff_x(), f.num * f.den)
+    g_prime = RationalFn(g.num.diff_x() * g.den - g.num * g.den.diff_x(), g.den * g.den)
+    return g_prime - f_log * g
 
 
-def rational_chain(n: int) -> List[RationalFn1D]:
+def rational_chain(n: int) -> List[RationalFn]:
     """First n potentials of the chain from u = 0 with seeds x, x^2, ...
 
     Every element is singular at x = 0; the m-th equals m(m+1)/x^2.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
-    potentials: List[RationalFn1D] = []
-    u = RationalFn1D.from_poly(Poly1D.zero())
+    potentials: List[RationalFn] = []
+    u = RationalFn.zero()
     for m in range(1, n + 1):
-        seed = RationalFn1D.from_poly(Poly1D.monomial(m))
-        step = DarbouxStep(u, seed)
+        step = DarbouxStep(u, RationalFn(BivariatePoly.monomial(m, 0)))
         u = cancel_x_power(darboux_step(step))
         potentials.append(u)
     return potentials

@@ -5,7 +5,9 @@ normalized with positive denominator). Polynomials are sparse maps from
 exponent pairs ``(i, j)`` (powers of x and y) to nonzero coefficients.
 The canonical term order used everywhere (serialization, golden tests)
 is graded lexicographic: ascending total degree, ties broken by
-ascending x-exponent.
+ascending x-exponent. A univariate polynomial is a y-free one (every
+exponent pair is (i, 0)), and a univariate rational function a y-free
+`RationalFn`, whose `laplacian` is then its second derivative.
 
 Products and exact quotients run on integers by Kronecker substitution.
 Each operand is cleared to integer coefficients times 1/L, L the lcm of
@@ -314,31 +316,6 @@ class BivariatePoly:
     def is_homogeneous(self) -> bool:
         degrees = {i + j for i, j in self._terms}
         return len(degrees) <= 1
-
-    def shifted(self, dx: RationalLike, dy: RationalLike) -> "BivariatePoly":
-        """Taylor shift: returns p(x + dx, y + dy)."""
-        ax, ay = as_fraction(dx), as_fraction(dy)
-        if not self._terms:
-            return self
-        nx = max(i for i, _ in self._terms) + 1
-        ny = max(j for _, j in self._terms) + 1
-        grid = [[Fraction(0)] * ny for _ in range(nx)]
-        for (i, j), c in self._terms.items():
-            grid[i][j] = c
-        if ax:
-            # repeated Horner step, one column of y-powers at a time
-            for k in range(nx - 1):
-                for i in range(nx - 2, k - 1, -1):
-                    for j in range(ny):
-                        grid[i][j] += ax * grid[i + 1][j]
-        if ay:
-            for k in range(ny - 1):
-                for j in range(ny - 2, k - 1, -1):
-                    for i in range(nx):
-                        grid[i][j] += ay * grid[i][j + 1]
-        return BivariatePoly(
-            {(i, j): grid[i][j] for i in range(nx) for j in range(ny)}
-        )
 
     def coefficient_abs_sum(self) -> Fraction:
         return sum((abs(c) for c in self._terms.values()), Fraction(0))

@@ -16,8 +16,8 @@ from typing import Optional, Tuple, Union
 
 from .errors import Inconclusive, NonPositiveLeadingForm, NotHomogeneous, OddDegree
 from .polynomials import BivariatePoly
-from .sturm import count_real_roots
-from .univariate import Poly1D
+from .serialization import fraction_to_obj, obj_to_fraction
+from .sturm import is_positive_everywhere
 
 DEFAULT_MAX_DEPTH = 40
 
@@ -40,8 +40,6 @@ class PositivityCertificate:
     max_depth_used: int
 
     def to_obj(self) -> dict:
-        from .serialization import fraction_to_obj
-
         return {
             "leading_form_min_bound": fraction_to_obj(self.leading_form_min_bound),
             "cutoff_radius": fraction_to_obj(self.cutoff_radius),
@@ -57,8 +55,6 @@ class PositivityCertificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PositivityCertificate":
-        from .serialization import obj_to_fraction
-
         return cls(
             leading_form_min_bound=obj_to_fraction(obj["leading_form_min_bound"]),
             cutoff_radius=obj_to_fraction(obj["cutoff_radius"]),
@@ -81,8 +77,6 @@ class PositivityRefutation:
     value: Fraction
 
     def to_obj(self) -> dict:
-        from .serialization import fraction_to_obj
-
         return {
             "point": [fraction_to_obj(self.point[0]), fraction_to_obj(self.point[1])],
             "value": fraction_to_obj(self.value),
@@ -92,12 +86,13 @@ class PositivityRefutation:
 PositivityOutcome = Union[PositivityCertificate, PositivityRefutation]
 
 
-def _circle_section(p: BivariatePoly) -> Poly1D:
-    """q(t) = p(1, t); on the homogeneous form this captures x != 0 directions."""
-    terms: dict[int, Fraction] = {}
-    for (_, j), c in p.items():
-        terms[j] = terms.get(j, Fraction(0)) + c
-    return Poly1D(terms)
+def _circle_section(p: BivariatePoly) -> BivariatePoly:
+    """q(t) = p(1, t) for a homogeneous p, as a y-free polynomial in t.
+
+    On the form this captures the x != 0 directions; homogeneity makes the
+    exponent j determine the term, so no two terms land on the same power.
+    """
+    return BivariatePoly({(j, 0): c for (_, j), c in p.items()})
 
 
 def leading_form_positive(p: BivariatePoly) -> Optional[Fraction]:
@@ -122,19 +117,16 @@ def leading_form_positive(p: BivariatePoly) -> Optional[Fraction]:
     if a0 <= 0:
         return None
     q = _circle_section(p)
-    if q.evaluate(0) <= 0 or count_real_roots(q) > 0:
+    if not is_positive_everywhere(q):
         return None
-    s = Poly1D({0: 1, 2: 1})
-    power = Poly1D.constant(1)
-    for _ in range(d // 2):
-        power = power * s
-    c = min(a0, q.evaluate(0))
+    power = BivariatePoly({(0, 0): 1, (2, 0): 1}) ** (d // 2)
+    c = min(a0, q.coefficient(0, 0))
     while True:
         g = q - power.scale(c)
         if g.is_zero:
             # p is exactly c*(x^2+y^2)^(d/2); c is the exact minimum
             return c
-        if a0 >= c and g.evaluate(0) > 0 and count_real_roots(g) == 0:
+        if is_positive_everywhere(g):
             return c
         c = c / 2
 
@@ -245,12 +237,6 @@ class _BoxBounder:
         return center * denom, (center - spread) * denom
 
 
-def resolve_max_depth(max_depth: Optional[int] = None) -> int:
-    if max_depth is not None:
-        return max_depth
-    return DEFAULT_MAX_DEPTH
-
-
 def global_positivity(
     w: BivariatePoly, max_depth: Optional[int] = None
 ) -> PositivityOutcome:
@@ -263,7 +249,7 @@ def global_positivity(
     """
     if w.is_zero:
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
-    depth_limit = resolve_max_depth(max_depth)
+    depth_limit = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
     if w.degree == 0:
         c = w.coefficient(0, 0)
         if c <= 0:

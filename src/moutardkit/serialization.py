@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Any
 
 from .polynomials import BivariatePoly, RationalFn
-from .univariate import Poly1D, RationalFn1D
 
 
 def dumps(obj: Any) -> str:
@@ -55,25 +54,27 @@ def obj_to_rationalfn(obj: dict) -> RationalFn:
     return RationalFn(obj_to_poly(obj["num"]), obj_to_poly(obj["den"]))
 
 
-def poly1d_to_obj(p: Poly1D) -> dict:
-    return {
-        "vars": ["x"],
-        "terms": [
-            {"i": i, "num": str(c.numerator), "den": str(c.denominator)}
-            for i, c in p.items()
-        ],
-    }
+def poly1d_to_obj(p: BivariatePoly) -> dict:
+    """The one-variable format of a y-free polynomial."""
+    terms = []
+    for (i, j), c in p.items():
+        if j:
+            raise ValueError(f"expected a y-free polynomial, got the term x^{i} y^{j}")
+        terms.append({"i": i, "num": str(c.numerator), "den": str(c.denominator)})
+    return {"vars": ["x"], "terms": terms}
 
 
-def obj_to_poly1d(obj: dict) -> Poly1D:
+def obj_to_poly1d(obj: dict) -> BivariatePoly:
     if obj.get("vars") != ["x"]:
         raise ValueError(f"expected univariate polynomial, got vars={obj.get('vars')!r}")
-    return Poly1D({t["i"]: Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]})
+    return BivariatePoly(
+        {(t["i"], 0): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]}
+    )
 
 
-def rationalfn1d_to_obj(f: RationalFn1D) -> dict:
+def rationalfn1d_to_obj(f: RationalFn) -> dict:
     return {"num": poly1d_to_obj(f.num), "den": poly1d_to_obj(f.den)}
 
 
-def obj_to_rationalfn1d(obj: dict) -> RationalFn1D:
-    return RationalFn1D(obj_to_poly1d(obj["num"]), obj_to_poly1d(obj["den"]))
+def obj_to_rationalfn1d(obj: dict) -> RationalFn:
+    return RationalFn(obj_to_poly1d(obj["num"]), obj_to_poly1d(obj["den"]))

@@ -1,32 +1,74 @@
-"""Sturm chains and exact real-root counting for univariate polynomials."""
+"""Sturm chains and exact real-root counting for univariate polynomials.
+
+A univariate polynomial is a y-free `BivariatePoly` (every term (i, 0)).
+It is cleared to integers once, and the chain is kept as dense lists of
+primitive integer coefficients in ascending powers: each remainder is an
+integer pseudo-remainder whose sign is corrected so that it is a positive
+multiple of -rem(...). The sign at a rational p/q (q > 0) is the sign of
+the integer sum c_i p^i q^(n-i). Positive scaling never changes a sign
+count, so no `Fraction` is needed after the input is cleared.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Iterable, Optional
 
-from .polynomials import RationalLike, as_fraction
-from .univariate import Poly1D
+from .polynomials import BivariatePoly, RationalLike, as_fraction
+
+Dense = list[int]  # ascending coefficients, nonzero last entry
 
 
-def sturm_chain(p: Poly1D) -> list[Poly1D]:
-    """The Sturm sequence p, p', -rem(...), ... with primitive scaling.
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
 
-    Each element is scaled by a positive rational to keep integer
-    coefficients small; positive scaling never changes sign counts.
+
+def _primitive(coeffs: Dense) -> Dense:
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+def _negated_remainder(a: Dense, b: Dense) -> Dense:
+    """A positive multiple of -rem(a, b), primitive; [] when b divides a."""
+    lead = b[-1]
+    r = list(a)
+    steps = 0  # lead^steps * a = quotient * b + r
+    while r and len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [lead * c for c in r]
+        for k, c in enumerate(b):
+            r[shift + k] -= top * c
+        while r and not r[-1]:
+            r.pop()
+        steps += 1
+    if not r:
+        return r
+    flip = -(_sign(lead) ** steps)  # -rem(a, b) = -r / lead^steps
+    return _primitive([flip * c for c in r])
+
+
+def sturm_chain(p: BivariatePoly) -> list[Dense]:
+    """The Sturm sequence p, p', -rem(...), ... as primitive integer lists.
+
+    Raises ValueError for the zero polynomial or one that depends on y.
     """
     if p.is_zero:
         raise ValueError("Sturm chain of the zero polynomial")
-    chain = [p.primitive()]
-    d = p.derivative()
-    if d.is_zero:
+    ints, _ = p._cleared()
+    if any(j for _, j in ints):
+        raise ValueError("Sturm chains need a polynomial in x alone")
+    dense = [0] * (max(i for i, _ in ints) + 1)
+    for (i, _), c in ints.items():
+        dense[i] = c
+    chain = [_primitive(dense)]
+    if len(dense) == 1:
         return chain
-    chain.append(d.primitive())
-    while chain[-1].degree > 0:
-        _, rem = chain[-2].divmod(chain[-1])
-        if rem.is_zero:
+    chain.append(_primitive([i * c for i, c in enumerate(dense) if i]))
+    while len(chain[-1]) > 1:
+        rem = _negated_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append((-rem).primitive())
+        chain.append(rem)
     return chain
 
 
@@ -42,53 +84,38 @@ def _sign_changes(signs: Iterable[int]) -> int:
     return changes
 
 
-def _sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
+def _sign_at(coeffs: Dense, p: int, q: int) -> int:
+    """Sign of the polynomial at p/q, q > 0, by Horner on sum c_i p^i q^(n-i)."""
+    acc, q_pow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        q_pow *= q
+        acc = acc * p + c * q_pow
+    return _sign(acc)
 
 
-def variations_at(chain: list[Poly1D], x0: RationalLike) -> int:
-    v = as_fraction(x0)
-    return _sign_changes(_sign(p.evaluate(v)) for p in chain)
-
-
-def variations_at_neg_inf(chain: list[Poly1D]) -> int:
-    signs = []
-    for p in chain:
-        lc = p.leading_coefficient()
-        deg = 0 if p.is_zero else p.degree
-        signs.append(_sign(lc) * (-1 if deg % 2 else 1))
-    return _sign_changes(signs)
-
-
-def variations_at_pos_inf(chain: list[Poly1D]) -> int:
-    return _sign_changes(_sign(p.leading_coefficient()) for p in chain)
+def _variations(chain: list[Dense], end: Optional[RationalLike], side: int) -> int:
+    """Sign changes along the chain at `end`, or at side * infinity if None."""
+    if end is None:
+        return _sign_changes(_sign(c[-1] * side ** (len(c) - 1)) for c in chain)
+    v = as_fraction(end)
+    return _sign_changes(_sign_at(c, v.numerator, v.denominator) for c in chain)
 
 
 def count_real_roots(
-    p: Poly1D,
+    p: BivariatePoly,
     lower: Optional[RationalLike] = None,
     upper: Optional[RationalLike] = None,
 ) -> int:
-    """Number of distinct real roots of p in (lower, upper].
+    """Number of distinct real roots of the y-free p in (lower, upper].
 
     Unbounded ends count roots on the whole half-line / line. The bounded
     endpoints must not themselves be roots of p.
     """
-    if p.is_zero:
-        raise ValueError("root counting needs a nonzero polynomial")
-    if p.degree == 0:
-        return 0
     chain = sturm_chain(p)
-    va = variations_at_neg_inf(chain) if lower is None else variations_at(chain, lower)
-    vb = variations_at_pos_inf(chain) if upper is None else variations_at(chain, upper)
-    return va - vb
+    return _variations(chain, lower, -1) - _variations(chain, upper, 1)
 
 
-def is_positive_everywhere(p: Poly1D) -> bool:
-    """True iff p(t) > 0 for every real t."""
-    if p.is_zero:
-        return False
-    if count_real_roots(p) > 0:
-        return False
-    # no real roots: the sign is constant, probe any point
-    return p.evaluate(0) > 0
+def is_positive_everywhere(p: BivariatePoly) -> bool:
+    """True iff the y-free p satisfies p(t) > 0 for every real t."""
+    # with no real roots the sign is constant, so probe t = 0
+    return p.coefficient(0, 0) > 0 and count_real_roots(p) == 0

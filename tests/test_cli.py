@@ -1,7 +1,10 @@
-"""Command-line front end: exit statuses and a golden `transform` output."""
+"""Command-line front end: exit statuses and golden stdout hashes."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,18 @@ DATA = Path(__file__).parent / "data"
 #   moutardkit transform --seeds tests/data/pair_d5.json --constant 358
 # recorded with the schoolbook product and division kernel
 PAIR_D5_TRANSFORM_SHA256 = "1f0c62bbf28dc14d878f41218d58fedab452604bc3b0c37b9f87085664d031f4"
+
+# SHA-256 of the stdout of `moutardkit ARGV...`, recorded with the
+# Fraction-based univariate polynomial type and Sturm chain
+GOLDEN_STDOUT_SHA256 = [
+    (("darboux1d", "--steps", "5"), "f7a8ef49759b861cbb54a17c6faaf2e06560d947ba516f8494709f1b2742e5d6"),
+    (("example", "1"), "a864a8b4e66efd79fd65a170e5d834935f9e30dd3352cceb6cb7d20a24558bce"),
+    (
+        ("search", "--degree", "2", "--trials", "6", "--seed", "0"),
+        "f77dbfca84a755374f594bbeaf6e3cc715679c3718204dfbde575ab3db5f3ea1",
+    ),
+    (("example", "2"), "bab6bee54566e5d3cff55fac6ee7e908d017e55294f478cb96e81f73fd814a73"),
+]
 
 
 def run(*argv):
@@ -41,6 +56,34 @@ def test_golden_transform_degree5(capsys):
     out = capsys.readouterr().out
     assert status == cli.EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAIR_D5_TRANSFORM_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_STDOUT_SHA256, ids=["-".join(argv) for argv, _ in GOLDEN_STDOUT_SHA256]
+)
+def test_golden_stdout(argv, digest, capsys):
+    assert run(*argv) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose reader is already gone, as for a reader like
+    # `head -c 20` that stops early, so the first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moutardkit", "example", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode("utf-8")
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
 def test_exit_ok(capsys):

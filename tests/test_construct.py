@@ -116,7 +116,7 @@ class TestScalingInvariance:
 class TestVerifyLemma:
     def test_first_example(self):
         ex = get_example(1)
-        assert verify_lemma(ex.seeds, Fraction(-20))
+        assert verify_lemma(ex.seeds, double_transform(ex.seeds, Fraction(-20)))
 
     def test_random_pairs(self):
         rng = random.Random(1234)
@@ -127,12 +127,14 @@ class TestVerifyLemma:
             if proportional(omega1, omega2):
                 continue
             c = Fraction(rng.randint(1, 40), rng.randint(1, 7))
-            assert verify_lemma(SeedPair.harmonic(omega1, omega2), c)
+            seeds = SeedPair.harmonic(omega1, omega2)
+            assert verify_lemma(seeds, double_transform(seeds, c))
             done += 1
 
     def test_proportional_seeds_error(self):
         with pytest.raises(ProportionalSeeds):
-            verify_lemma(SeedPair.harmonic(X, X.scale(2)), 1)
+            seeds = SeedPair.harmonic(X, X.scale(2))
+            verify_lemma(seeds, double_transform(seeds, 1))
 
 
 class TestCalibrate:

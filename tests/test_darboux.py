@@ -13,15 +13,23 @@ from moutardkit.darboux import (
 from moutardkit.errors import SeedNotInKernel, ZeroSeed
 from moutardkit.moutard import moutard_potential
 from moutardkit.polynomials import BivariatePoly, RationalFn
-from moutardkit.univariate import Poly1D, RationalFn1D
 
 
-def rf1(num_terms, den_terms) -> RationalFn1D:
-    return RationalFn1D(Poly1D(num_terms), Poly1D(den_terms))
+def poly1(terms) -> BivariatePoly:
+    """y-free polynomial from {power of x: coefficient}."""
+    return BivariatePoly({(i, 0): c for i, c in terms.items()})
 
 
-ZERO_U = RationalFn1D.from_poly(Poly1D.zero())
-X1 = RationalFn1D.from_poly(Poly1D.monomial(1))
+def rf1(num_terms, den_terms) -> RationalFn:
+    return RationalFn(poly1(num_terms), poly1(den_terms))
+
+
+def x_power(m) -> RationalFn:
+    return RationalFn(BivariatePoly.monomial(m, 0))
+
+
+ZERO_U = RationalFn.zero()
+X1 = x_power(1)
 
 
 class TestDarbouxStep:
@@ -30,20 +38,20 @@ class TestDarbouxStep:
 
     def test_second_step_seed_x_squared(self):
         u1 = rf1({0: 2}, {2: 1})
-        step = DarbouxStep(u1, RationalFn1D.from_poly(Poly1D.monomial(2)))
+        step = DarbouxStep(u1, x_power(2))
         assert darboux_step(step).equals(rf1({0: 6}, {2: 1}))
 
     def test_seed_not_in_kernel(self):
         with pytest.raises(SeedNotInKernel):
-            DarbouxStep(ZERO_U, RationalFn1D.from_poly(Poly1D.monomial(2)))
+            DarbouxStep(ZERO_U, x_power(2))
 
     def test_zero_seed(self):
         with pytest.raises(ZeroSeed):
-            DarbouxStep(ZERO_U, RationalFn1D.from_poly(Poly1D.zero()))
+            DarbouxStep(ZERO_U, RationalFn.zero())
 
     def test_nonzero_energy_shift(self):
         # with u = -k^2 the linear seed solves the shifted equation
-        u = RationalFn1D.from_poly(Poly1D.constant(-4))
+        u = RationalFn.constant(-4)
         step = DarbouxStep(u, X1, Fraction(2))
         assert darboux_step(step).equals(rf1({0: 2, 2: -4}, {2: 1}))
 
@@ -53,11 +61,9 @@ class TestSolutionMap:
         # g = 1 solves (-d^2/dx^2) g = 0; its image solves the 2/x^2 equation
         step = DarbouxStep(ZERO_U, X1)
         u_new = darboux_step(step)
-        g = transform_solution(step, RationalFn1D.from_poly(Poly1D.constant(1)))
-        residual = u_new * g - g.second_derivative()
-        assert residual.num.is_zero or residual.equals(
-            RationalFn1D.from_poly(Poly1D.zero())
-        )
+        g = transform_solution(step, RationalFn.constant(1))
+        residual = u_new * g - g.laplacian()
+        assert residual.num.is_zero or residual.equals(RationalFn.zero())
 
     def test_kernel_seed_maps_to_zero(self):
         step = DarbouxStep(ZERO_U, X1)
@@ -84,13 +90,13 @@ class TestRationalChain:
 
     def test_all_singular_at_origin(self):
         for u in rational_chain(4):
-            assert u.den.evaluate(0) == 0
+            assert u.den.evaluate(0, 0) == 0
 
     def test_chain_elements_annihilate_their_kernel_seeds(self):
         chain = [ZERO_U] + rational_chain(4)
         for n, u in enumerate(chain[:-1], start=0):
-            seed = RationalFn1D.from_poly(Poly1D.monomial(n + 1))
-            lhs = (u * seed) - seed.second_derivative()
+            seed = x_power(n + 1)
+            lhs = (u * seed) - seed.laplacian()
             assert lhs.num.is_zero or lhs.equals(ZERO_U)
 
     def test_bad_length(self):
@@ -105,5 +111,5 @@ def test_two_dimensional_reduction_reproduces_first_step():
     u1d = rational_chain(1)[0]
     assert u2d.num == BivariatePoly.constant(2)
     assert u2d.den == x2d * x2d
-    assert u1d.num == Poly1D.constant(2)
-    assert u1d.den == Poly1D.monomial(2)
+    assert u1d.num == BivariatePoly.constant(2)
+    assert u1d.den == BivariatePoly.monomial(2, 0)

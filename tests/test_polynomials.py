@@ -122,12 +122,6 @@ class TestStructure:
         with pytest.raises(ExactDivisionError):
             (X * X + ONE).div_exact(X + Y)
 
-    def test_shifted_matches_evaluation(self):
-        p = P({(2, 1): 3, (1, 0): Fraction(-1, 2), (0, 2): 5})
-        q = p.shifted(Fraction(1, 3), -2)
-        assert q.evaluate(0, 0) == p.evaluate(Fraction(1, 3), -2)
-        assert q.evaluate(1, 1) == p.evaluate(Fraction(4, 3), -1)
-
     def test_canonical_term_order(self):
         p = P({(0, 2): 1, (2, 0): 1, (1, 0): 1, (0, 0): 1, (1, 1): 1})
         assert [e for e, _ in p.items()] == [(0, 0), (1, 0), (0, 2), (1, 1), (2, 0)]

@@ -8,7 +8,6 @@ import pytest
 from moutardkit import serialization as ser
 from moutardkit.harmonic import HarmonicCombo
 from moutardkit.polynomials import BivariatePoly, RationalFn
-from moutardkit.univariate import Poly1D, RationalFn1D
 
 
 def roundtrip_poly(p):
@@ -56,14 +55,16 @@ def test_fraction_roundtrip():
 
 
 def test_poly1d_roundtrip():
-    p = Poly1D({0: Fraction(2), 5: Fraction(-7, 3)})
+    p = BivariatePoly({(0, 0): Fraction(2), (5, 0): Fraction(-7, 3)})
     obj = ser.poly1d_to_obj(p)
     assert ser.obj_to_poly1d(obj) == p
     assert obj["vars"] == ["x"]
+    with pytest.raises(ValueError):
+        ser.poly1d_to_obj(p + BivariatePoly.monomial(0, 1))
 
 
 def test_rationalfn1d_roundtrip():
-    f = RationalFn1D(Poly1D.constant(6), Poly1D.monomial(2))
+    f = RationalFn(BivariatePoly.constant(6), BivariatePoly.monomial(2, 0))
     text = ser.dumps(ser.rationalfn1d_to_obj(f))
     assert ser.obj_to_rationalfn1d(json.loads(text)) == f
 

@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from moutardkit.polynomials import BivariatePoly
 from moutardkit.sturm import count_real_roots, is_positive_everywhere, sturm_chain
-from moutardkit.univariate import Poly1D
 
 T = sp.symbols("t")
 
 
-def as_poly1d(expr) -> Poly1D:
+def as_poly1d(expr) -> BivariatePoly:
+    """The sympy polynomial in t as a y-free BivariatePoly in x."""
     poly = sp.Poly(sp.expand(expr), T)
-    return Poly1D({m[0]: Fraction(str(c)) for m, c in zip(poly.monoms(), poly.coeffs())})
+    return BivariatePoly(
+        {(m[0], 0): Fraction(str(c)) for m, c in zip(poly.monoms(), poly.coeffs())}
+    )
 
 
 @pytest.mark.parametrize(
@@ -27,6 +30,9 @@ def as_poly1d(expr) -> Poly1D:
         (T**5 - T, 3),
         (3 * T + 7, 1),
         (sp.Integer(4), 0),
+        # negative leading coefficients and a remainder two degrees down:
+        # the pseudo-remainder's sign correction decides this count
+        (-(T**4) - 1, 0),
     ],
 )
 def test_known_root_counts(expr, count):
@@ -42,25 +48,31 @@ def test_interval_counts():
 
 
 def test_against_sympy_oracle():
+    # integer and rational coefficients, on the whole line and on intervals
     rng = random.Random(42)
-    for _ in range(40):
+    for trial in range(80):
         degree = rng.randint(1, 7)
-        coeffs = [rng.randint(-6, 6) for _ in range(degree + 1)]
-        if all(c == 0 for c in coeffs):
-            continue
-        expr = sum(c * T**i for i, c in enumerate(coeffs))
+        den = 1 if trial % 2 else rng.randint(2, 9)
+        expr = sum(sp.Rational(rng.randint(-6, 6), rng.randint(1, den)) * T**i for i in range(degree + 1))
         if expr == 0:
             continue
-        expected = len(sp.Poly(expr, T).real_roots())
-        expected_distinct = len(set(sp.Poly(expr, T).real_roots()))
-        assert count_real_roots(as_poly1d(expr)) == expected_distinct, expr
+        roots = set(sp.Poly(expr, T).real_roots())
+        p = as_poly1d(expr)
+        assert count_real_roots(p) == len(roots), expr
+        lo, hi = sorted(sp.Rational(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2))
+        if expr.subs(T, lo) == 0 or expr.subs(T, hi) == 0:
+            continue
+        expected = sum(1 for r in roots if lo < r <= hi)
+        bounds = (Fraction(lo.p, lo.q), Fraction(hi.p, hi.q))
+        assert count_real_roots(p, *bounds) == expected, (expr, lo, hi)
 
 
 def test_chain_shape():
-    chain = sturm_chain(as_poly1d(T**3 - 2 * T + 1))
-    assert chain[0].degree == 3
-    assert chain[1].degree == 2
-    assert all(chain[i].degree > chain[i + 1].degree for i in range(1, len(chain) - 1))
+    # dense ascending coefficient lists: the degree is the length minus one
+    degrees = [len(c) - 1 for c in sturm_chain(as_poly1d(T**3 - 2 * T + 1))]
+    assert degrees[0] == 3
+    assert degrees[1] == 2
+    assert all(degrees[i] > degrees[i + 1] for i in range(1, len(degrees) - 1))
 
 
 def test_is_positive_everywhere():
@@ -73,4 +85,9 @@ def test_is_positive_everywhere():
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        count_real_roots(Poly1D.zero())
+        count_real_roots(BivariatePoly.zero())
+
+
+def test_y_dependent_polynomial_rejected():
+    with pytest.raises(ValueError, match="x alone"):
+        count_real_roots(BivariatePoly({(2, 0): 1, (0, 1): 1}))
