@@ -45,7 +45,6 @@ from .search import (
     SearchRecord,
     min_positive_constant,
     sweep,
-    verify_example,
     verify_example_full,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "transform_family",
     "transform_solution",
     "uniform_grid",
-    "verify_example",
     "verify_example_full",
     "verify_lemma",
     "verify_solution",

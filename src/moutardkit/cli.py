@@ -204,7 +204,7 @@ def cmd_darboux1d(args) -> int:
     return EXIT_OK
 
 
-def build_parser(default_depth: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moutardkit",
         description="Exact construction and verification of planar Schrodinger "
@@ -217,8 +217,8 @@ def build_parser(default_depth: int) -> argparse.ArgumentParser:
         p.add_argument(
             "--max-depth",
             type=int,
-            default=default_depth,
-            help=f"branch-and-bound depth limit (default {default_depth})",
+            default=DEFAULT_MAX_DEPTH,
+            help=f"branch-and-bound depth limit (default {DEFAULT_MAX_DEPTH})",
         )
 
     p = sub.add_parser("example", help="reproduce and verify a built-in example")
@@ -267,14 +267,7 @@ def build_parser(default_depth: int) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    env_depth = os.environ.get("MOUTARD_MAX_DEPTH")
-    try:
-        default_depth = int(env_depth) if env_depth else DEFAULT_MAX_DEPTH
-    except ValueError:
-        print(f"bad MOUTARD_MAX_DEPTH {env_depth!r}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser(default_depth)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

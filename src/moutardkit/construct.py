@@ -123,26 +123,17 @@ def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardRe
 
 
 def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
-    """Check that both transformation branches land on the same potential.
+    """Check the lemma behind the construction on both branches.
 
-    Branch i applies the Moutard potential map with seed omega_i and then
-    again with theta_i, the latter expanded through W: Lap(log theta_i)
-    = Lap(log W) - Lap(log omega_i). Returns True iff both branches agree
-    with the common potential result.u = u0 - 2*Lap(log W). That
-    1/theta1, 1/theta2 solve L psi = 0 was checked by `double_transform`,
-    which built `result`.
+    Branch i first maps u0 to u_mid_i = moutard_potential(u0, omega_i);
+    the lemma claims theta1 = W/omega1 and theta2 = -W/omega2 lie in the
+    kernels of -Lap + u_mid_1 and -Lap + u_mid_2. Returns True iff both
+    pass `verify_solution`; a W that is not the quadrature F + C fails.
     """
-    lap_log_w = log_laplacian(result.w_poly)
-    branches = []
-    for omega in (seeds.omega1, seeds.omega2):
-        u_mid = moutard_potential(seeds.u0, omega)
-        theta_log = lap_log_w - log_laplacian(omega)
-        u_branch = u_mid - theta_log.scale(2)
-        # every term of the unreduced branch carries omega^2 by construction
-        u_branch = u_branch.cancel_factor(omega * omega)
-        branches.append(u_branch)
-
-    return branches[0].equals(branches[1]) and branches[0].equals(result.u)
+    return all(
+        verify_solution(moutard_potential(seeds.u0, omega), theta)
+        for omega, theta in ((seeds.omega1, result.theta1), (seeds.omega2, result.theta2))
+    )
 
 
 def calibrate_against(

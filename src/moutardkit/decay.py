@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotHomogeneous, OddDegree
+from .errors import OddDegree
 from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
     PositivityCertificate,
+    PositivityOutcome,
     global_positivity,
     leading_form_positive,
 )
@@ -65,16 +66,19 @@ def decay_exponent(
     return DecayReport(exponent=exponent, bound_valid=valid, exact_on_generic_ray=exact)
 
 
-def l2_membership(psi: RationalFn, max_depth: Optional[int] = None) -> bool:
-    """True iff psi is certifiably square-summable over the plane.
+def square_summable(report: DecayReport, den_outcome: PositivityOutcome) -> bool:
+    """The L2 rule: psi = N/D is certifiably square-summable over the plane
+    iff D is certified positive (no real poles) and psi's decay bound is
+    valid with exponent >= 2 (then the radial integral of |psi|^2 converges).
+    """
+    certified = isinstance(den_outcome, PositivityCertificate)
+    return certified and report.bound_valid and report.exponent >= 2
 
-    Requires a positivity certificate for the denominator (no real poles)
-    and a valid decay bound with exponent >= 2, which makes the radial
-    comparison integral of |psi|^2 converge. Inconclusive positivity
-    propagates as an exception rather than guessing.
+
+def l2_membership(psi: RationalFn, max_depth: Optional[int] = None) -> bool:
+    """`square_summable` for psi after certifying its denominator here; a
+    caller holding that certificate already (search, for W) applies the
+    rule directly. Inconclusive positivity propagates, never guessed.
     """
     outcome = global_positivity(psi.den, max_depth=max_depth)
-    if not isinstance(outcome, PositivityCertificate):
-        return False
-    report = decay_exponent(psi)
-    return report.bound_valid and report.exponent >= 2
+    return square_summable(decay_exponent(psi), outcome)

@@ -251,14 +251,14 @@ class BivariatePoly:
     def __pow__(self, exponent: int) -> "BivariatePoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = BivariatePoly.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if exponent == 0:
+            return BivariatePoly.constant(1)
+        # left-to-right square-and-multiply; the top bit is `self` itself
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- calculus -----------------------------------------------------------
@@ -388,10 +388,6 @@ class RationalFn:
     def constant(cls, value: RationalLike) -> "RationalFn":
         return cls(BivariatePoly.constant(value))
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == BivariatePoly.constant(1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
@@ -403,10 +399,6 @@ class RationalFn:
     def equals(self, other: "RationalFn") -> bool:
         """Value equality: a/b == c/d iff a*d - c*b is the zero polynomial."""
         return (self.num * other.den - other.num * self.den).is_zero
-
-    @property
-    def is_value_zero(self) -> bool:
-        return self.num.is_zero
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):

@@ -4,6 +4,10 @@ harmonic seed pairs, and full verification of the built-in examples.
 A sweep measures how fast the constructed potentials and kernel functions
 decay as the seed degree grows; it only ever records what was certified,
 it never extrapolates.
+
+Each trial certifies W = F + C once: `min_positive_constant` hands on its
+last certifying probe's certificate with C, and sweeps and examples read
+the L2 flags of psi_i = +-omega_i/W off it in `_certified_trial`.
 """
 
 from __future__ import annotations
@@ -21,23 +25,19 @@ from .construct import (
     proportional,
     transform_family,
 )
-from .decay import DecayReport, decay_exponent, l2_membership
+from .decay import DecayReport, decay_exponent, square_summable
 from .errors import (
     Inconclusive,
+    InvariantViolated,
     MoutardKitError,
     NonPositiveLeadingForm,
     VerificationFailed,
 )
-from .gallery import BuiltinExample, get_example
+from .gallery import get_example
 from .harmonic import conjugate, random_combo
 from .polynomials import BivariatePoly, RationalFn
-from .positivity import (
-    PositivityCertificate,
-    PositivityOutcome,
-    global_positivity,
-    leading_dominance,
-)
-from .serialization import fraction_to_obj, obj_to_fraction, obj_to_poly, poly_to_obj
+from .positivity import PositivityCertificate, global_positivity, leading_dominance
+from .serialization import fraction_to_obj, poly_to_obj
 
 DOUBLING_CAP = Fraction(2) ** 64
 REFINE_FLOOR = Fraction(1, 64)
@@ -45,41 +45,45 @@ REFINE_FLOOR = Fraction(1, 64)
 
 def min_positive_constant(
     f: BivariatePoly, max_depth: Optional[int] = None
-) -> Fraction:
-    """A certified constant C with F + C globally positive, within a factor
-    of two of the least value this bisection can certify.
+) -> Tuple[Fraction, PositivityCertificate]:
+    """(C, certificate): F + C is globally positive, C is within a factor
+    of two of the least value this bisection can certify, and the
+    certificate is `global_positivity(F + C)`, from the last certifying probe.
 
     Brackets from [0, 1] by doubling until certification succeeds (cap
     2^64), then bisects; probes that come back Inconclusive count as
-    not certifiable at the configured depth.
+    not certifiable at the configured depth. The first probe raises
+    NonPositiveLeadingForm when no constant can work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
-    leading_dominance(f)  # raises NonPositiveLeadingForm when no C can work
 
-    def certifies(c: Fraction) -> bool:
+    def certify(c: Fraction) -> Optional[PositivityCertificate]:
         try:
             outcome = global_positivity(f + BivariatePoly.constant(c), max_depth)
         except Inconclusive:
-            return False
-        return isinstance(outcome, PositivityCertificate)
+            return None
+        return outcome if isinstance(outcome, PositivityCertificate) else None
 
     lo = Fraction(0)
     hi = Fraction(1)
-    while not certifies(hi):
+    certificate = certify(hi)
+    while certificate is None:
         lo = hi
         hi = hi * 2
         if hi > DOUBLING_CAP:
             raise Inconclusive(
                 max_depth, f"no certifiable constant up to {DOUBLING_CAP}"
             )
+        certificate = certify(hi)
     while (lo == 0 and hi > REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
         mid = (lo + hi) / 2
-        if certifies(mid):
-            hi = mid
-        else:
+        probe = certify(mid)
+        if probe is None:
             lo = mid
-    return hi
+        else:
+            hi, certificate = mid, probe
+    return hi, certificate
 
 
 @dataclass(frozen=True)
@@ -108,20 +112,6 @@ class SearchRecord:
             "valid": self.valid,
             "error": self.error,
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SearchRecord":
-        return cls(
-            trial=obj["trial"],
-            seeds_obj=obj["seeds"],
-            constant=obj_to_fraction(obj["C"]),
-            u_decay=obj["u_decay"],
-            psi_decay=obj["psi_decay"],
-            positivity=obj["positivity"],
-            w_degree=obj["W_degree"],
-            valid=obj["valid"],
-            error=obj["error"],
-        )
 
 
 def _seeds_obj(seeds: SeedPair) -> dict:
@@ -193,31 +183,75 @@ def _draw_pair(rng: random.Random, degree: int, coefficient_bound: int) -> SeedP
     return SeedPair.harmonic(omega1, omega2)
 
 
+@dataclass(frozen=True)
+class TrialReport:
+    """Everything the pipeline produced for one certified trial."""
+
+    record: SearchRecord
+    result: DoubleMoutardResult
+    certificate: PositivityCertificate
+    u_report: DecayReport
+    psi1_report: DecayReport
+    psi2_report: DecayReport
+    l2_psi1: bool
+    l2_psi2: bool
+
+
+def _certified_trial(
+    trial: int,
+    oriented: SeedPair,
+    f: BivariatePoly,
+    constant: Fraction,
+    certificate: PositivityCertificate,
+) -> TrialReport:
+    """Transform and analyze an oriented pair, given W = F + C's certificate.
+
+    psi1 and psi2 have denominator W, so their L2 flags read `certificate`.
+    """
+    result = double_transform(oriented, constant)
+    if result.w_poly != f + BivariatePoly.constant(constant):
+        raise InvariantViolated("W differs from the certified F + C")
+    u_report = decay_exponent(result.u)
+    psi1_report = decay_exponent(result.psi1)
+    psi2_report = decay_exponent(result.psi2)
+    record = SearchRecord(
+        trial=trial,
+        seeds_obj=_seeds_obj(oriented),
+        constant=result.constant,
+        u_decay=u_report.exponent,
+        psi_decay=min(psi1_report.exponent, psi2_report.exponent),
+        positivity="certified",
+        w_degree=int(result.w_poly.degree),
+        valid=u_report.bound_valid and psi1_report.bound_valid and psi2_report.bound_valid,
+    )
+    return TrialReport(
+        record=record,
+        result=result,
+        certificate=certificate,
+        u_report=u_report,
+        psi1_report=psi1_report,
+        psi2_report=psi2_report,
+        l2_psi1=square_summable(psi1_report, certificate),
+        l2_psi2=square_summable(psi2_report, certificate),
+    )
+
+
 def run_trial(
     trial: int,
     seeds: SeedPair,
     max_depth: Optional[int] = None,
 ) -> SearchRecord:
-    """Orient, pick C by bisection, transform, and analyze one seed pair."""
+    """Orient, pick C by bisection, transform, and analyze one seed pair.
+
+    A pair without a positive orientation or a certifiable constant is
+    recorded as a failure; every other error propagates.
+    """
     try:
         oriented, f = orient_for_positivity(seeds)
-        constant = min_positive_constant(f, max_depth)
+        constant, certificate = min_positive_constant(f, max_depth)
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
-    result = double_transform(oriented, constant)
-    u_report = decay_exponent(result.u)
-    psi_reports = [decay_exponent(result.psi1), decay_exponent(result.psi2)]
-    valid = u_report.bound_valid and all(r.bound_valid for r in psi_reports)
-    return SearchRecord(
-        trial=trial,
-        seeds_obj=_seeds_obj(oriented),
-        constant=constant,
-        u_decay=u_report.exponent,
-        psi_decay=min(r.exponent for r in psi_reports),
-        positivity="certified",
-        w_degree=int(result.w_poly.degree),
-        valid=valid,
-    )
+    return _certified_trial(trial, oriented, f, constant, certificate).record
 
 
 def sweep(
@@ -245,20 +279,6 @@ def sweep(
     return records
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    """Everything the pipeline produced while verifying a built-in example."""
-
-    record: SearchRecord
-    result: DoubleMoutardResult
-    certificate: PositivityCertificate
-    u_report: DecayReport
-    psi1_report: DecayReport
-    psi2_report: DecayReport
-    l2_psi1: bool
-    l2_psi2: bool
-
-
 def _check(condition: bool, invariant: str) -> None:
     if not condition:
         raise VerificationFailed(f"failed invariant: {invariant}")
@@ -268,19 +288,27 @@ def _proportional_rf(a: RationalFn, b: RationalFn) -> bool:
     return proportional(a.num * b.den, b.num * a.den)
 
 
-def verify_example_full(ident: int, max_depth: Optional[int] = None) -> ExampleReport:
-    """Run the whole pipeline on a built-in example and assert its claims."""
+def verify_example_full(ident: int, max_depth: Optional[int] = None) -> TrialReport:
+    """Run the whole pipeline on a built-in example and assert its claims.
+
+    W is certified once. An example with a reference closed form
+    calibrates C against it and certifies F + C; one without takes C and
+    W's certificate from `min_positive_constant`.
+    """
     example = get_example(ident)
     oriented, f = orient_for_positivity(example.seeds)
-    if example.reference is not None:
-        lam, c_total = calibrate_against(f, example.reference.w_poly)
-        constant = c_total / lam
+    ref = example.reference
+    if ref is None:
+        constant, certificate = min_positive_constant(f, max_depth)
     else:
-        constant = min_positive_constant(f, max_depth)
-    result = double_transform(oriented, constant)
+        lam, c_total = calibrate_against(f, ref.w_poly)
+        constant = c_total / lam
+        certificate = global_positivity(f + BivariatePoly.constant(constant), max_depth)
+        _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
+    report = _certified_trial(ident, oriented, f, constant, certificate)
 
-    if example.reference is not None:
-        ref = example.reference
+    if ref is not None:
+        result = report.result
         _check(result.u.equals(ref.u), "u matches the reference closed form")
         pairings = [
             _proportional_rf(result.psi1, ref.psi1) and _proportional_rf(result.psi2, ref.psi2),
@@ -288,48 +316,11 @@ def verify_example_full(ident: int, max_depth: Optional[int] = None) -> ExampleR
         ]
         _check(any(pairings), "kernel functions proportional to the reference pair")
 
-    outcome = global_positivity(result.w_poly, max_depth)
-    _check(
-        isinstance(outcome, PositivityCertificate),
-        "global positivity certificate for W",
-    )
-    u_report = decay_exponent(result.u)
-    psi1_report = decay_exponent(result.psi1)
-    psi2_report = decay_exponent(result.psi2)
-    _check(
-        u_report.bound_valid and u_report.exponent == example.expected_u_decay,
-        f"u decays at rate {example.expected_u_decay}",
-    )
-    for name, report in (("psi1", psi1_report), ("psi2", psi2_report)):
-        _check(
-            report.bound_valid and report.exponent == example.expected_psi_decay,
-            f"{name} decays at rate {example.expected_psi_decay}",
-        )
-    l2_1 = l2_membership(result.psi1, max_depth)
-    l2_2 = l2_membership(result.psi2, max_depth)
-    _check(l2_1 and l2_2, "kernel functions are square-summable")
-
-    record = SearchRecord(
-        trial=ident,
-        seeds_obj=_seeds_obj(oriented),
-        constant=result.constant,
-        u_decay=u_report.exponent,
-        psi_decay=min(psi1_report.exponent, psi2_report.exponent),
-        positivity="certified",
-        w_degree=int(result.w_poly.degree),
-        valid=True,
-    )
-    return ExampleReport(
-        record=record,
-        result=result,
-        certificate=outcome,
-        u_report=u_report,
-        psi1_report=psi1_report,
-        psi2_report=psi2_report,
-        l2_psi1=l2_1,
-        l2_psi2=l2_2,
-    )
-
-
-def verify_example(ident: int, max_depth: Optional[int] = None) -> SearchRecord:
-    return verify_example_full(ident, max_depth).record
+    for name, decay, rate in (
+        ("u", report.u_report, example.expected_u_decay),
+        ("psi1", report.psi1_report, example.expected_psi_decay),
+        ("psi2", report.psi2_report, example.expected_psi_decay),
+    ):
+        _check(decay.bound_valid and decay.exponent == rate, f"{name} decays at rate {rate}")
+    _check(report.l2_psi1 and report.l2_psi2, "kernel functions are square-summable")
+    return report

@@ -1,11 +1,14 @@
 """Double Moutard construction: W, the common potential, and Lemma checks."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from moutardkit.construct import (
+    DoubleMoutardResult,
     SeedPair,
     calibrate_against,
     double_transform,
@@ -25,9 +28,11 @@ from moutardkit.gallery import get_example
 from moutardkit.harmonic import random_combo
 from moutardkit.moutard import verify_solution
 from moutardkit.polynomials import BivariatePoly, RationalFn
+from moutardkit.serialization import obj_to_poly
 
 X, Y = BivariatePoly.variables()
 ONE = BivariatePoly.constant(1)
+DATA = Path(__file__).parent / "data"
 
 
 class TestSeedPair:
@@ -135,6 +140,25 @@ class TestVerifyLemma:
         with pytest.raises(ProportionalSeeds):
             seeds = SeedPair.harmonic(X, X.scale(2))
             verify_lemma(seeds, double_transform(seeds, 1))
+
+    def test_rejects_w_that_is_not_the_quadrature(self):
+        # a bundle that is self-consistent given W (u and psi_i are built
+        # from it) but whose W is not F + C for the seeds
+        obj = json.loads((DATA / "pair_d5.json").read_text(encoding="utf-8"))
+        seeds = SeedPair.harmonic(obj_to_poly(obj["omega1"]), obj_to_poly(obj["omega2"]))
+        good = double_transform(seeds, 358)
+        w = good.w_poly + X * X * Y + BivariatePoly.constant(5)
+        bogus = DoubleMoutardResult(
+            w,
+            good.constant,
+            potential_from_w(seeds.u0, w),
+            RationalFn(seeds.omega1, w),
+            RationalFn(-seeds.omega2, w),
+            RationalFn(w, seeds.omega1),
+            RationalFn(-w, seeds.omega2),
+        )
+        assert verify_lemma(seeds, good)
+        assert not verify_lemma(seeds, bogus)
 
 
 class TestCalibrate:

@@ -56,6 +56,7 @@ class TestMul:
     def test_pow(self):
         assert (X + Y) ** 3 == P({(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1})
         assert (X**0) == ONE
+        assert X**1 == X
 
 
 class TestCalculus:

@@ -1,0 +1,125 @@
+"""Search drivers: the constant bisection, orientation, trial records, sweep
+order, and how often the example pipeline certifies W."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from moutardkit import decay, numeric, search
+from moutardkit.construct import SeedPair, double_transform, transform_family
+from moutardkit.errors import Inconclusive, InvariantViolated, NonPositiveLeadingForm
+from moutardkit.polynomials import BivariatePoly
+from moutardkit.positivity import PositivityCertificate, global_positivity, leading_dominance
+
+X, Y = BivariatePoly.variables()
+
+# degree-2 pairs from search's own generator whose bisection ends above
+# the floor after a few cheap probes
+FAST_PAIR_SEEDS = (2, 5)
+
+
+def degree2_pair(seed):
+    return search._draw_pair(random.Random(seed), 2, 5)
+
+
+@pytest.mark.parametrize("seed", FAST_PAIR_SEEDS)
+def test_min_positive_constant_returns_the_certificate_of_f_plus_c(seed):
+    _, f = search.orient_for_positivity(degree2_pair(seed))
+    constant, certificate = search.min_positive_constant(f)
+    w = f + BivariatePoly.constant(constant)
+    assert isinstance(certificate, PositivityCertificate)
+    assert certificate.to_obj() == global_positivity(w).to_obj()
+    assert constant > search.REFINE_FLOOR
+    try:
+        half = global_positivity(f + BivariatePoly.constant(constant / 2))
+    except Inconclusive:
+        return
+    assert not isinstance(half, PositivityCertificate)
+
+
+def test_min_positive_constant_raises_on_the_first_probe_for_a_bad_leading_form():
+    # F = -(x^2 + y^2): no constant makes it positive
+    with pytest.raises(NonPositiveLeadingForm, match="leading form attains <= 0"):
+        search.min_positive_constant(-(X * X + Y * Y))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orient_swaps_exactly_when_the_leading_form_is_not_positive(seed):
+    pair = degree2_pair(seed)
+    f = transform_family(pair).antiderivative
+    try:
+        leading_dominance(f)
+        positive = True
+    except NonPositiveLeadingForm:
+        positive = False
+    oriented, oriented_f = search.orient_for_positivity(pair)
+    if positive:
+        assert oriented is pair and oriented_f == f
+    else:
+        assert oriented == pair.swapped() and oriented_f == -f
+
+
+def test_orient_raises_when_neither_orientation_works():
+    # F has odd degree 3, so its leading form changes sign either way
+    with pytest.raises(NonPositiveLeadingForm):
+        search.orient_for_positivity(SeedPair.harmonic(X, X * X - Y * Y))
+
+
+def test_run_trial_records_a_pair_without_positive_orientation():
+    record = search.run_trial(4, SeedPair.harmonic(X, X * X - Y * Y))
+    assert (record.trial, record.error, record.valid) == (4, "NonPositiveLeadingForm", False)
+    assert (record.u_decay, record.w_degree, record.positivity) == (-1, -1, "inconclusive")
+
+
+def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
+    def never_certifies(w, max_depth=None):
+        raise Inconclusive(max_depth)
+
+    monkeypatch.setattr(search, "global_positivity", never_certifies)
+    record = search.run_trial(0, degree2_pair(1))
+    assert (record.error, record.constant) == ("Inconclusive", Fraction(0))
+
+
+def test_run_trial_propagates_every_other_error(monkeypatch):
+    # a transform whose W is not the certified F + C is a pipeline defect
+    monkeypatch.setattr(search, "double_transform", lambda seeds, c: double_transform(seeds, c + 1))
+    with pytest.raises(InvariantViolated, match="certified F \\+ C"):
+        search.run_trial(0, degree2_pair(1))
+
+
+def test_run_trial_certified_record():
+    record = search.run_trial(3, degree2_pair(1))
+    assert (record.trial, record.positivity, record.error) == (3, "certified", "")
+    assert record.valid and record.w_degree == 4
+
+
+def test_sweep_sorts_by_decay_then_w_degree_then_trial(monkeypatch):
+    # (u_decay, W_degree) per trial; -1 marks a failure record
+    shapes = [(2, 4), (4, 6), (4, 4), (-1, -1), (2, 4), (4, 4)]
+
+    def fake_trial(trial, seeds, max_depth=None):
+        u_decay, w_degree = shapes[trial]
+        return search.SearchRecord(trial, {}, Fraction(1), u_decay, 0, "certified", w_degree, True)
+
+    monkeypatch.setattr(search, "run_trial", fake_trial)
+    records = search.sweep(2, 0, len(shapes))
+    assert [r.trial for r in records] == [2, 5, 1, 0, 4, 3]
+
+
+@pytest.mark.parametrize("ident,calls", [(1, 1), (2, 7)])
+def test_example_certifies_w_once(monkeypatch, ident, calls):
+    # example 2's seven calls are the bisection probes; none repeats W
+    seen = []
+
+    def counting(w, max_depth=None):
+        seen.append(w)
+        return global_positivity(w, max_depth)
+
+    for module in (search, decay, numeric):
+        monkeypatch.setattr(module, "global_positivity", counting)
+    report = search.verify_example_full(ident)
+    assert len(seen) == calls
+    assert len({tuple(w.items()) for w in seen}) == calls
+    assert seen[-1] == report.result.w_poly
+    assert report.l2_psi1 and report.l2_psi2
