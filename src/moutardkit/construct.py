@@ -22,10 +22,9 @@ from .errors import (
 )
 from .moutard import (
     TransformFamily,
-    integrate_closed,
     kernel_residual,
     moutard_potential,
-    solution_one_form,
+    moutard_solution,
     verify_solution,
 )
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
@@ -90,8 +89,7 @@ def log_laplacian(g: BivariatePoly) -> RationalFn:
 
 def transform_family(seeds: SeedPair) -> TransformFamily:
     """Quadrature step: the family theta1 = (F + C)/omega1."""
-    form = solution_one_form(seeds.omega1, seeds.omega2)
-    return TransformFamily(seeds.omega1, integrate_closed(form), form)
+    return moutard_solution(seeds.u0, seeds.omega1, seeds.omega2)
 
 
 def potential_from_w(u0: RationalFn, w: BivariatePoly) -> RationalFn:

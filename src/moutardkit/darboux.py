@@ -12,18 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List
 
+from .construct import log_laplacian
 from .errors import SeedNotInKernel, ZeroSeed
 from .polynomials import BivariatePoly, RationalFn
-
-
-def log_second_derivative(p: BivariatePoly) -> RationalFn:
-    """(log p)'' = (p''*p - p'^2) / p^2, exactly."""
-    d1 = p.diff_x()
-    return RationalFn(d1.diff_x() * p - d1 * d1, p * p)
-
-
-def rf_log_second_derivative(f: RationalFn) -> RationalFn:
-    return log_second_derivative(f.num) - log_second_derivative(f.den)
 
 
 def cancel_x_power(f: RationalFn) -> RationalFn:
@@ -54,8 +45,10 @@ class DarbouxStep:
 
 
 def darboux_step(step: DarbouxStep) -> RationalFn:
-    """Transformed potential u - 2*(log f)''."""
-    return step.u - rf_log_second_derivative(step.f).scale(2)
+    """Transformed potential u - 2*(log f)'', where for y-free f
+    (log f)'' = Lap(log num) - Lap(log den)."""
+    f = step.f
+    return step.u - (log_laplacian(f.num) - log_laplacian(f.den)).scale(2)
 
 
 def transform_solution(step: DarbouxStep, g: RationalFn) -> RationalFn:

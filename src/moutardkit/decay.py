@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OddDegree
-from .polynomials import BivariatePoly, RationalFn
+from .polynomials import RationalFn
 from .positivity import (
     PositivityCertificate,
     PositivityOutcome,
@@ -39,18 +39,12 @@ class DecayReport:
         return cls(obj["exponent"], obj["bound_valid"], obj["exact_on_generic_ray"])
 
 
-def decay_exponent(
-    f: RationalFn, known_common_factor: Optional[BivariatePoly] = None
-) -> DecayReport:
+def decay_exponent(f: RationalFn) -> DecayReport:
     """Report deg(den) - deg(num) and the validity of the uniform bound.
 
-    `known_common_factor` removes a factor known by construction to divide
-    both parts exactly, so representation padding cannot skew the degrees.
     A zero numerator decays faster than any rate; deg(den) is reported
     with the generic-ray flag off.
     """
-    if known_common_factor is not None:
-        f = f.cancel_factor(known_common_factor)
     den_degree = int(f.den.degree)
     if f.num.is_zero:
         exponent = den_degree

@@ -108,7 +108,6 @@ def random_combo(
     max_degree: int,
     rng_seed: int,
     coefficient_bound: int,
-    include_constant: bool = False,
     rng: random.Random | None = None,
 ) -> HarmonicCombo:
     """A reproducible random harmonic combination, degrees 1..max_degree.
@@ -125,10 +124,6 @@ def random_combo(
     gen = rng if rng is not None else random.Random(rng_seed)
     while True:
         coeffs: Dict[Tuple[int, Part], int] = {}
-        if include_constant:
-            c = gen.randint(-coefficient_bound, coefficient_bound)
-            if c:
-                coeffs[(0, "re")] = c
         for n in range(1, max_degree + 1):
             for part in ("re", "im"):
                 c = gen.randint(-coefficient_bound, coefficient_bound)

@@ -4,7 +4,10 @@ Everything here is decided with rational arithmetic: the leading form is
 bounded on the unit circle through Sturm sequences, the leading term's
 dominance radius comes from a coefficient-sum tail bound, and the inside
 of the disk is covered by branch-and-bound with centered-form interval
-bounds. `Inconclusive` is an explicit outcome, never treated as positive.
+bounds. The branch-and-bound runs on integers: boxes are dyadic cells of
+the root square and their bounds integers on a common scale, so
+`Fraction`s are built only for the cells and points it reports.
+`Inconclusive` is an explicit outcome, never treated as positive.
 """
 
 from __future__ import annotations
@@ -155,21 +158,23 @@ def leading_dominance(p: BivariatePoly) -> Tuple[Fraction, Fraction, int]:
 
 
 class _BoxBounder:
-    """Centered-form bounds for one polynomial over dyadic boxes.
+    """Centered-form bounds for one polynomial over dyadic boxes, in integers.
 
-    The polynomial is cleared to integer coefficients once; for a box with
-    dyadic center (P/2^s, Q/2^s) and half-widths (HX/2^s, HY/2^s), the
-    Taylor coefficients scaled by 2^(s*(d-i-j)) are integers obtained by
-    integer Horner shifts, so both the center value and the lower bound
+    The polynomial is cleared once to integer coefficients over one common
+    denominator D. A box is given by its center (px/2^s, qy/2^s) and
+    half-widths (hx/2^s, hy/2^s), all integers over the same power of two.
+    Its Taylor coefficients b_ij at the center, scaled by 2^(s*(d-i-j)),
+    are integers obtained by integer Horner shifts, so on the common scale
+    D * 2^(s*d) both the center value and the spread
 
-        center - sum |b_ij| * hx^i * hy^j     over (i, j) != (0, 0)
+        sum |b_ij| * hx^i * hy^j     over (i, j) != (0, 0)
 
-    come out of pure integer arithmetic (divided by the scale at the end).
+    are integers; center - spread is the centered-form lower bound.
     """
 
     def __init__(self, w: BivariatePoly):
         ints, scale = w._cleared()
-        self.scale = scale  # w = scale * integer polynomial
+        self.denominator = scale.denominator  # w = ints / denominator
         self.degree = int(w.degree)
         self.nx = max(i for i, _ in ints) + 1
         self.ny = max(j for _, j in ints) + 1
@@ -177,24 +182,10 @@ class _BoxBounder:
         for (i, j), c in ints.items():
             self.grid[i][j] = c
 
-    @staticmethod
-    def _dyadic(value: Fraction) -> Tuple[int, int]:
-        num, den = value.numerator, value.denominator
-        exp = den.bit_length() - 1
-        if 1 << exp != den:
-            raise ValueError(f"box coordinate {value} is not dyadic")
-        return num, exp
-
-    def bounds(self, box: Box) -> Tuple[Fraction, Fraction]:
-        """(exact center value, exact lower bound) of the polynomial on box."""
-        x_lo, x_hi, y_lo, y_hi = box
-        cx, cy = (x_lo + x_hi) / 2, (y_lo + y_hi) / 2
-        hx, hy = (x_hi - x_lo) / 2, (y_hi - y_lo) / 2
-        s = 0
-        for v in (cx, cy, hx, hy):
-            s = max(s, self._dyadic(v)[1])
-        px, qy = int(cx * (1 << s)), int(cy * (1 << s))
-        hx_i, hy_i = int(hx * (1 << s)), int(hy * (1 << s))
+    def bounds(self, px: int, qy: int, hx: int, hy: int, s: int) -> Tuple[int, int]:
+        """(center, spread) of the polynomial on the box, both scaled by
+        D * 2^(s*d): the center value and the lower bound are
+        `value(center, s)` and `value(center - spread, s)`."""
         nx, ny, d = self.nx, self.ny, self.degree
         # pre-scale entry (i, j) by 2^(s*(d-i-j)) so integer shifts by (px, qy)
         # land on the scaled Taylor coefficients; cells beyond the total
@@ -217,14 +208,13 @@ class _BoxBounder:
                 for j in range(ny - 2, k - 1, -1):
                     for i in range(nx):
                         grid[i][j] += qy * grid[i][j + 1]
-        center = grid[0][0]
         spread = 0
         hx_pow = [1]
         for _ in range(nx - 1):
-            hx_pow.append(hx_pow[-1] * hx_i)
+            hx_pow.append(hx_pow[-1] * hx)
         hy_pow = [1]
         for _ in range(ny - 1):
-            hy_pow.append(hy_pow[-1] * hy_i)
+            hy_pow.append(hy_pow[-1] * hy)
         for i in range(nx):
             row = grid[i]
             for j in range(ny):
@@ -233,8 +223,11 @@ class _BoxBounder:
                 b = row[j]
                 if b:
                     spread += abs(b) * hx_pow[i] * hy_pow[j]
-        denom = Fraction(1, 1 << (s * d)) * self.scale
-        return center * denom, (center - spread) * denom
+        return grid[0][0], spread
+
+    def value(self, scaled: int, s: int) -> Fraction:
+        """The exact rational behind an integer on the scale of `bounds`."""
+        return Fraction(scaled, self.denominator << (s * self.degree))
 
 
 def global_positivity(
@@ -242,10 +235,14 @@ def global_positivity(
 ) -> PositivityOutcome:
     """Certify w > 0 on the whole plane, or produce a refuting point.
 
-    The leading form handles everything outside the cutoff radius; the
-    square [-R, R]^2 is covered by bisection with exact centered-form
-    bounds. Cells are returned in canonical order so the certificate is
-    independent of the processing schedule.
+    The leading form handles everything outside the integer cutoff radius
+    R; the square [-R, R]^2 is covered by bisection with exact
+    centered-form bounds. A box at depth k is column i, row j of the
+    square after ceil(k/2) x-splits and floor(k/2) y-splits: bisecting the
+    wider side, x on ties, alternates x and y from a square. Boxes stay
+    integers until a cell or a refuting point is emitted. Cells are
+    returned in canonical order so the certificate is independent of the
+    processing schedule.
     """
     if w.is_zero:
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
@@ -256,33 +253,36 @@ def global_positivity(
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
     bound, lower_sum, _ = leading_dominance(w)
-    radius = Fraction(math.ceil(max(Fraction(1), lower_sum / bound))) + 1
-    root_box: Box = (-radius, radius, -radius, radius)
+    radius = math.ceil(max(Fraction(1), lower_sum / bound)) + 1
     bounder = _BoxBounder(w)
     cells: list[CertifiedCell] = []
     max_depth_used = 0
-    stack: list[Tuple[Box, int]] = [(root_box, 0)]
+    stack: list[Tuple[int, int, int]] = [(0, 0, 0)]  # (column, row, depth)
     while stack:
-        box, depth = stack.pop()
+        i, j, depth = stack.pop()
         max_depth_used = max(max_depth_used, depth)
-        x_lo, x_hi, y_lo, y_hi = box
-        cx = (x_lo + x_hi) / 2
-        cy = (y_lo + y_hi) / 2
-        value, lower = bounder.bounds(box)
-        if value <= 0:
-            return PositivityRefutation((cx, cy), value)
-        if lower > 0:
-            cells.append(CertifiedCell(box, lower))
+        # in units of 1/2^s, s = ceil(depth/2) x-splits, the box has centre
+        # (px, qy) and half-widths (radius, hy); y-splits lag by depth % 2
+        s, odd = (depth + 1) // 2, depth % 2
+        px = radius * (2 * i + 1 - (1 << s))
+        qy = radius * (2 * j + 1 - (1 << (s - odd))) << odd
+        hy = radius << odd
+        center, spread = bounder.bounds(px, qy, radius, hy, s)
+        if center <= 0:
+            point = (Fraction(px, 1 << s), Fraction(qy, 1 << s))
+            return PositivityRefutation(point, bounder.value(center, s))
+        if center > spread:
+            corners = (px - radius, px + radius, qy - hy, qy + hy)
+            box = tuple(Fraction(v, 1 << s) for v in corners)
+            cells.append(CertifiedCell(box, bounder.value(center - spread, s)))
             continue
         if depth >= depth_limit:
             raise Inconclusive(depth_limit)
-        if x_hi - x_lo >= y_hi - y_lo:
-            left: Box = (x_lo, cx, y_lo, y_hi)
-            right: Box = (cx, x_hi, y_lo, y_hi)
+        if odd:
+            stack.append((i, 2 * j + 1, depth + 1))
+            stack.append((i, 2 * j, depth + 1))
         else:
-            left = (x_lo, x_hi, y_lo, cy)
-            right = (x_lo, x_hi, cy, y_hi)
-        stack.append((right, depth + 1))
-        stack.append((left, depth + 1))
+            stack.append((2 * i + 1, j, depth + 1))
+            stack.append((2 * i, j, depth + 1))
     cells.sort(key=lambda cell: cell.box)
-    return PositivityCertificate(bound, radius, tuple(cells), max_depth_used)
+    return PositivityCertificate(bound, Fraction(radius), tuple(cells), max_depth_used)

@@ -41,6 +41,7 @@ from .serialization import fraction_to_obj, poly_to_obj
 
 DOUBLING_CAP = Fraction(2) ** 64
 REFINE_FLOOR = Fraction(1, 64)
+COEFFICIENT_BOUND = 5  # seed coefficients of a sweep are drawn from [-5, 5]
 
 
 def min_positive_constant(
@@ -124,19 +125,19 @@ def _seeds_obj(seeds: SeedPair) -> dict:
 def orient_for_positivity(seeds: SeedPair) -> Tuple[SeedPair, BivariatePoly]:
     """Order the seed pair so the quadrature's leading form can be positive.
 
-    Swapping the seeds flips the sign of the closed 1-form, hence of F;
-    exactly one orientation can have a positive-definite leading form.
-    Raises NonPositiveLeadingForm when neither does (mixed-degree pairs).
+    Swapping the seeds flips the sign of the closed 1-form, hence of F
+    (the quadrature is linear and fixes F(0,0) = 0), so the swapped pair's
+    F is -F without a second quadrature; exactly one orientation can have
+    a positive-definite leading form. Raises NonPositiveLeadingForm when
+    neither does (mixed-degree pairs).
     """
-    family = transform_family(seeds)
+    f = transform_family(seeds).antiderivative
     try:
-        leading_dominance(family.antiderivative)
-        return seeds, family.antiderivative
+        leading_dominance(f)
+        return seeds, f
     except NonPositiveLeadingForm:
-        swapped = seeds.swapped()
-        family = transform_family(swapped)
-        leading_dominance(family.antiderivative)
-        return swapped, family.antiderivative
+        leading_dominance(-f)
+        return seeds.swapped(), -f
 
 
 def _record_failure(
@@ -259,7 +260,6 @@ def sweep(
     rng_seed: int,
     trials: int,
     max_depth: Optional[int] = None,
-    coefficient_bound: int = 5,
 ) -> List[SearchRecord]:
     """Random seed-pair trials at a fixed degree, deterministically seeded.
 
@@ -273,7 +273,7 @@ def sweep(
     rng = random.Random(rng_seed)
     records = []
     for trial in range(trials):
-        seeds = _draw_pair(rng, degree, coefficient_bound)
+        seeds = _draw_pair(rng, degree, COEFFICIENT_BOUND)
         records.append(run_trial(trial, seeds, max_depth))
     records.sort(key=lambda r: (-r.u_decay, r.w_degree, r.trial))
     return records

@@ -44,11 +44,6 @@ class TestDecayExponent:
         assert report.exponent == 2
         assert not report.exact_on_generic_ray
 
-    def test_known_common_factor(self):
-        pad = ONE + X * X
-        padded = RationalFn(REF.u.num * pad, REF.u.den * pad)
-        assert decay_exponent(padded, known_common_factor=pad) == decay_exponent(REF.u)
-
     def test_report_roundtrip(self):
         report = decay_exponent(REF.u)
         assert DecayReport.from_obj(report.to_obj()) == report

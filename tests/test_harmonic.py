@@ -61,17 +61,6 @@ def test_random_combo_degree_two_support():
     assert set(n for (n, _) in combo.coefficients) <= {1, 2}
 
 
-def test_random_combo_constant_option():
-    rng = random.Random(17)
-    seen_constant = False
-    for _ in range(20):
-        combo = random_combo(2, 0, 5, include_constant=True, rng=rng)
-        assert is_harmonic(combo.realized)
-        if (0, "re") in combo.coefficients:
-            seen_constant = True
-    assert seen_constant
-
-
 def test_conjugate_generators():
     assert conjugate(HarmonicCombo.from_coefficients({(1, "re"): 1})).realized == Y
     assert conjugate(HarmonicCombo.from_coefficients({(1, "im"): 1})).realized == -X

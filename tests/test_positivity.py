@@ -19,6 +19,15 @@ from moutardkit.positivity import (
 X, Y = BivariatePoly.variables()
 R2 = X * X + Y * Y
 W_REF = get_example(1).reference.w_poly
+# F + C that `search` picks for its degree-2 pair of seed 5: cutoff radius 7,
+# so its boxes are not powers of two wide
+W_SEARCH = BivariatePoly(
+    {
+        (0, 0): 8, (2, 0): 3, (0, 2): 3,
+        (3, 0): Fraction(55, 3), (2, 1): 20, (1, 2): -5, (0, 3): Fraction(50, 3),
+        (4, 0): Fraction(25, 2), (2, 2): 25, (0, 4): Fraction(25, 2),
+    }
+)
 
 
 class TestLeadingFormPositive:
@@ -93,29 +102,39 @@ class TestGlobalPositivity:
         assert all(cell.lower_bound > 0 for cell in outcome.cells)
 
     def test_cells_tile_the_square(self):
-        cert = global_positivity(W_REF)
-        side = 2 * cert.cutoff_radius
-        area = sum(
-            (cell.box[1] - cell.box[0]) * (cell.box[3] - cell.box[2])
-            for cell in cert.cells
-        )
-        assert area == side * side
+        for w in (W_REF, W_SEARCH):
+            cert = global_positivity(w)
+            side = 2 * cert.cutoff_radius
+            area = sum(
+                (cell.box[1] - cell.box[0]) * (cell.box[3] - cell.box[2])
+                for cell in cert.cells
+            )
+            assert area == side * side
 
     def test_cell_bounds_sound(self):
-        cert = global_positivity(W_REF)
         rng = random.Random(99)
-        for cell in cert.cells:
-            x_lo, x_hi, y_lo, y_hi = cell.box
-            for _ in range(3):
-                px = x_lo + (x_hi - x_lo) * Fraction(rng.randint(0, 64), 64)
-                py = y_lo + (y_hi - y_lo) * Fraction(rng.randint(0, 64), 64)
-                assert W_REF.evaluate(px, py) >= cell.lower_bound
+        for w in (W_REF, W_SEARCH):
+            for cell in global_positivity(w).cells:
+                x_lo, x_hi, y_lo, y_hi = cell.box
+                for _ in range(3):
+                    px = x_lo + (x_hi - x_lo) * Fraction(rng.randint(0, 64), 64)
+                    py = y_lo + (y_hi - y_lo) * Fraction(rng.randint(0, 64), 64)
+                    assert w.evaluate(px, py) >= cell.lower_bound
 
     def test_touching_zero_refuted(self):
         outcome = global_positivity(R2)
         assert isinstance(outcome, PositivityRefutation)
         assert outcome.point == (0, 0)
         assert outcome.value == 0
+
+    def test_refuted_off_the_root_centre(self):
+        # the first refuting box in depth-first order, several splits deep
+        dx = X - BivariatePoly.constant(Fraction(5, 2))
+        dy = Y - BivariatePoly.constant(Fraction(3, 2))
+        p = dx * dx + dy * dy - BivariatePoly.constant(1)
+        outcome = global_positivity(p)
+        assert outcome == PositivityRefutation((Fraction(9, 4), Fraction(9, 4)), Fraction(-3, 8))
+        assert p.evaluate(*outcome.point) == outcome.value
 
     def test_below_minimum_refuted(self):
         # the reference W has global minimum exactly 160
@@ -133,8 +152,10 @@ class TestGlobalPositivity:
             global_positivity(X * X - Y * Y + BivariatePoly.constant(50))
 
     def test_depth_limit_is_explicit(self):
-        with pytest.raises(Inconclusive):
-            global_positivity(W_REF, max_depth=0)
+        for depth in (0, 7):
+            with pytest.raises(Inconclusive):
+                global_positivity(W_REF, max_depth=depth)
+        assert global_positivity(W_REF, max_depth=8).max_depth_used == 8
 
     def test_deterministic(self):
         a = global_positivity(W_REF)
