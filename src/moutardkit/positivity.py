@@ -6,8 +6,12 @@ dominance radius comes from a coefficient-sum tail bound, and the inside
 of the disk is covered by branch-and-bound with centered-form interval
 bounds. The branch-and-bound runs on integers: boxes are dyadic cells of
 the root square and their bounds integers on a common scale, so
-`Fraction`s are built only for the cells and points it reports.
-`Inconclusive` is an explicit outcome, never treated as positive.
+`Fraction`s are built only for the cells and points it reports. One box
+tree memoizes a polynomial f's bounds per box and decides f + a/b for any
+constant a/b by integer comparisons, so the constant search of `search`
+bounds each box once across all its probes; `global_positivity` is that
+traversal at offset 0. `Inconclusive` is an explicit outcome, never
+treated as positive.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import Inconclusive, NonPositiveLeadingForm, NotHomogeneous, OddDegree
 from .polynomials import BivariatePoly
@@ -175,59 +179,119 @@ class _BoxBounder:
     def __init__(self, w: BivariatePoly):
         ints, scale = w._cleared()
         self.denominator = scale.denominator  # w = ints / denominator
-        self.degree = int(w.degree)
-        self.nx = max(i for i, _ in ints) + 1
-        self.ny = max(j for _, j in ints) + 1
-        self.grid = [[0] * self.ny for _ in range(self.nx)]
+        self.degree = d = int(w.degree)
+        # row i holds the coefficients of x^i y^j for j <= d - i
+        self.grid = [[0] * (d - i + 1) for i in range(d + 1)]
         for (i, j), c in ints.items():
             self.grid[i][j] = c
+        self.scaled: dict = {}  # s -> grid pre-scaled for that s
 
     def bounds(self, px: int, qy: int, hx: int, hy: int, s: int) -> Tuple[int, int]:
         """(center, spread) of the polynomial on the box, both scaled by
-        D * 2^(s*d): the center value and the lower bound are
-        `value(center, s)` and `value(center - spread, s)`."""
-        nx, ny, d = self.nx, self.ny, self.degree
-        # pre-scale entry (i, j) by 2^(s*(d-i-j)) so integer shifts by (px, qy)
-        # land on the scaled Taylor coefficients; cells beyond the total
-        # degree are structurally zero
-        grid = [
-            [
-                self.grid[i][j] << (s * (d - i - j)) if i + j <= d else 0
-                for j in range(ny)
+        D * 2^(s*d): the center value and the lower bound are center and
+        center - spread over D * 2^(s*d)."""
+        d = self.degree
+        scaled = self.scaled.get(s)
+        if scaled is None:
+            # pre-scale entry (i, j) by 2^(s*(d-i-j)) so integer shifts by
+            # (px, qy) land on the scaled Taylor coefficients
+            scaled = self.scaled[s] = [
+                [c << (s * (d - i - j)) for j, c in enumerate(row)]
+                for i, row in enumerate(self.grid)
             ]
-            for i in range(nx)
-        ]
+        grid = [row[:] for row in scaled]
         if px:
-            for k in range(nx - 1):
-                for i in range(nx - 2, k - 1, -1):
-                    row, nxt = grid[i], grid[i + 1]
-                    for j in range(ny):
-                        row[j] += px * nxt[j]
+            for k in range(d):
+                for i in range(d - 1, k - 1, -1):
+                    row = grid[i]
+                    for j, c in enumerate(grid[i + 1]):
+                        row[j] += px * c
         if qy:
-            for k in range(ny - 1):
-                for j in range(ny - 2, k - 1, -1):
-                    for i in range(nx):
-                        grid[i][j] += qy * grid[i][j + 1]
-        spread = 0
+            for row in grid:
+                for k in range(len(row) - 1):
+                    for j in range(len(row) - 2, k - 1, -1):
+                        row[j] += qy * row[j + 1]
         hx_pow = [1]
-        for _ in range(nx - 1):
-            hx_pow.append(hx_pow[-1] * hx)
         hy_pow = [1]
-        for _ in range(ny - 1):
+        for _ in range(d):
+            hx_pow.append(hx_pow[-1] * hx)
             hy_pow.append(hy_pow[-1] * hy)
-        for i in range(nx):
-            row = grid[i]
-            for j in range(ny):
-                if i == 0 and j == 0:
-                    continue
-                b = row[j]
-                if b:
-                    spread += abs(b) * hx_pow[i] * hy_pow[j]
+        spread = 0
+        for i, row in enumerate(grid):
+            for j in range(0 if i else 1, len(row)):
+                spread += abs(row[j]) * hx_pow[i] * hy_pow[j]
         return grid[0][0], spread
 
-    def value(self, scaled: int, s: int) -> Fraction:
-        """The exact rational behind an integer on the scale of `bounds`."""
-        return Fraction(scaled, self.denominator << (s * self.degree))
+
+class _BoxTree:
+    """The branch-and-bound boxes of one polynomial f, each bounded once.
+
+    The leading form handles everything outside f's integer cutoff radius
+    R; the square [-R, R]^2 is covered by bisection. A box at depth k is
+    column i, row j of the square after ceil(k/2) x-splits and floor(k/2)
+    y-splits: bisecting the wider side, x on ties, alternates x and y from
+    a square. On every box the bounds of f + a/b are f's plus a/b, so
+    `traverse` decides any offset from f's memoized (center, spread).
+    """
+
+    def __init__(self, f: BivariatePoly, max_depth: Optional[int]):
+        self.bound, lower_sum, _ = leading_dominance(f)
+        self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
+        self.depth_limit = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
+        self.bounder = _BoxBounder(f)
+        self.boxes: dict = {}  # (column, row, depth) -> (center, spread)
+
+    def geometry(self, i: int, j: int, depth: int) -> Tuple[int, int, int, int]:
+        """(s, px, qy, hy): in units of 1/2^s, s = ceil(depth/2) x-splits,
+        the box has centre (px, qy) and half-widths (R, hy); y-splits lag
+        by depth % 2."""
+        s, odd = (depth + 1) // 2, depth % 2
+        r = self.radius
+        px = r * (2 * i + 1 - (1 << s))
+        qy = r * (2 * j + 1 - (1 << (s - odd))) << odd
+        return s, px, qy, r << odd
+
+    def traverse(
+        self, a: int, b: int
+    ) -> Union[List[Tuple[int, int, int, int]], PositivityRefutation]:
+        """Branch-and-bound for f + a/b, b > 0, in a fixed depth-first order.
+
+        Returns the certified cells as (column, row, depth, lower), lower
+        being the cell's lower bound over b * D * 2^(s*d), or a refutation
+        at the first box centre where f + a/b <= 0. Raises Inconclusive
+        past the depth limit.
+        """
+        bounder, boxes = self.bounder, self.boxes
+        offset, d = a * bounder.denominator, bounder.degree
+        cells = []
+        stack = [(0, 0, 0)]
+        while stack:
+            box = stack.pop()
+            i, j, depth = box
+            s = (depth + 1) // 2
+            known = boxes.get(box)
+            if known is None:
+                _, px, qy, hy = self.geometry(i, j, depth)
+                known = boxes[box] = bounder.bounds(px, qy, self.radius, hy, s)
+            center = known[0] * b + (offset << s * d)
+            if center <= 0:
+                _, px, qy, _ = self.geometry(i, j, depth)
+                point = (Fraction(px, 1 << s), Fraction(qy, 1 << s))
+                scale = b * bounder.denominator << s * d
+                return PositivityRefutation(point, Fraction(center, scale))
+            spread = known[1] * b
+            if center > spread:
+                cells.append((i, j, depth, center - spread))
+                continue
+            if depth >= self.depth_limit:
+                raise Inconclusive(self.depth_limit)
+            if depth % 2:
+                stack.append((i, 2 * j + 1, depth + 1))
+                stack.append((i, 2 * j, depth + 1))
+            else:
+                stack.append((2 * i + 1, j, depth + 1))
+                stack.append((2 * i, j, depth + 1))
+        return cells
 
 
 def global_positivity(
@@ -235,54 +299,35 @@ def global_positivity(
 ) -> PositivityOutcome:
     """Certify w > 0 on the whole plane, or produce a refuting point.
 
-    The leading form handles everything outside the integer cutoff radius
-    R; the square [-R, R]^2 is covered by bisection with exact
-    centered-form bounds. A box at depth k is column i, row j of the
-    square after ceil(k/2) x-splits and floor(k/2) y-splits: bisecting the
-    wider side, x on ties, alternates x and y from a square. Boxes stay
-    integers until a cell or a refuting point is emitted. Cells are
-    returned in canonical order so the certificate is independent of the
-    processing schedule.
+    This is `_BoxTree(w).traverse` at offset 0: outside the cutoff radius R
+    the leading form dominates, and [-R, R]^2 is covered by bisection with
+    exact centered-form bounds. Cells are returned in canonical order so
+    the certificate is independent of the processing schedule.
     """
     if w.is_zero:
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
-    depth_limit = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
     if w.degree == 0:
         c = w.coefficient(0, 0)
         if c <= 0:
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
-    bound, lower_sum, _ = leading_dominance(w)
-    radius = math.ceil(max(Fraction(1), lower_sum / bound)) + 1
-    bounder = _BoxBounder(w)
-    cells: list[CertifiedCell] = []
-    max_depth_used = 0
-    stack: list[Tuple[int, int, int]] = [(0, 0, 0)]  # (column, row, depth)
-    while stack:
-        i, j, depth = stack.pop()
-        max_depth_used = max(max_depth_used, depth)
-        # in units of 1/2^s, s = ceil(depth/2) x-splits, the box has centre
-        # (px, qy) and half-widths (radius, hy); y-splits lag by depth % 2
-        s, odd = (depth + 1) // 2, depth % 2
-        px = radius * (2 * i + 1 - (1 << s))
-        qy = radius * (2 * j + 1 - (1 << (s - odd))) << odd
-        hy = radius << odd
-        center, spread = bounder.bounds(px, qy, radius, hy, s)
-        if center <= 0:
-            point = (Fraction(px, 1 << s), Fraction(qy, 1 << s))
-            return PositivityRefutation(point, bounder.value(center, s))
-        if center > spread:
-            corners = (px - radius, px + radius, qy - hy, qy + hy)
-            box = tuple(Fraction(v, 1 << s) for v in corners)
-            cells.append(CertifiedCell(box, bounder.value(center - spread, s)))
-            continue
-        if depth >= depth_limit:
-            raise Inconclusive(depth_limit)
-        if odd:
-            stack.append((i, 2 * j + 1, depth + 1))
-            stack.append((i, 2 * j, depth + 1))
-        else:
-            stack.append((2 * i + 1, j, depth + 1))
-            stack.append((2 * i, j, depth + 1))
-    cells.sort(key=lambda cell: cell.box)
-    return PositivityCertificate(bound, Fraction(radius), tuple(cells), max_depth_used)
+    tree = _BoxTree(w, max_depth)
+    outcome = tree.traverse(0, 1)
+    if isinstance(outcome, PositivityRefutation):
+        return outcome
+    # sort on the integer corners over the common 2^top, then build each
+    # cell's Fractions once
+    max_depth_used = max(depth for _, _, depth, _ in outcome)
+    top = (max_depth_used + 1) // 2
+    radius, scale, d = tree.radius, tree.bounder.denominator, tree.bounder.degree
+    keyed = []
+    for i, j, depth, lower in outcome:
+        s, px, qy, hy = tree.geometry(i, j, depth)
+        corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
+        keyed.append((corners, Fraction(lower, scale << s * d)))
+    keyed.sort(key=lambda cell: cell[0])
+    cells = tuple(
+        CertifiedCell(tuple(Fraction(v, 1 << top) for v in corners), lower)
+        for corners, lower in keyed
+    )
+    return PositivityCertificate(tree.bound, Fraction(radius), cells, max_depth_used)

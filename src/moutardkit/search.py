@@ -5,9 +5,10 @@ A sweep measures how fast the constructed potentials and kernel functions
 decay as the seed degree grows; it only ever records what was certified,
 it never extrapolates.
 
-Each trial certifies W = F + C once: `min_positive_constant` hands on its
-last certifying probe's certificate with C, and sweeps and examples read
-the L2 flags of psi_i = +-omega_i/W off it in `_certified_trial`.
+Each trial certifies W = F + C once: `min_positive_constant` runs its
+doubling and bisection probes on one memoized box tree of F, hands on
+`global_positivity(F + C)` with C, and sweeps and examples read the L2
+flags of psi_i = +-omega_i/W off that certificate in `_certified_trial`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from .errors import (
 from .gallery import get_example
 from .harmonic import conjugate, random_combo
 from .polynomials import BivariatePoly, RationalFn
-from .positivity import PositivityCertificate, global_positivity, leading_dominance
+from .positivity import (
+    PositivityCertificate,
+    PositivityRefutation,
+    _BoxTree,
+    global_positivity,
+    leading_dominance,
+)
 from .serialization import fraction_to_obj, poly_to_obj
 
 DOUBLING_CAP = Fraction(2) ** 64
@@ -49,41 +56,52 @@ def min_positive_constant(
 ) -> Tuple[Fraction, PositivityCertificate]:
     """(C, certificate): F + C is globally positive, C is within a factor
     of two of the least value this bisection can certify, and the
-    certificate is `global_positivity(F + C)`, from the last certifying probe.
+    certificate is `global_positivity(F + C)`.
 
     Brackets from [0, 1] by doubling until certification succeeds (cap
-    2^64), then bisects; probes that come back Inconclusive count as
-    not certifiable at the configured depth. The first probe raises
-    NonPositiveLeadingForm when no constant can work.
+    2^64), then bisects; a probe that is refuted or comes back
+    Inconclusive counts as not certifiable at the configured depth.
+
+    Every probe runs on one box tree of G = F - F(0,0) at offset
+    k = c + F(0,0): F + c is G + k, on each box its bounds are G's plus k,
+    and for k > 0 its cutoff radius is G's, because a positive constant
+    term is left out of the tail sum. For k <= 0 the root box's centre,
+    the origin, refutes with value k either way. So each box is bounded
+    once per trial, and W = F + C is certified once, by `global_positivity`.
+    Building the tree raises NonPositiveLeadingForm when no constant can
+    work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
+    f0 = f.coefficient(0, 0)
+    tree = _BoxTree(f - BivariatePoly.constant(f0), max_depth)
 
-    def certify(c: Fraction) -> Optional[PositivityCertificate]:
+    def certifies(c: Fraction) -> bool:
+        k = c + f0
         try:
-            outcome = global_positivity(f + BivariatePoly.constant(c), max_depth)
+            outcome = tree.traverse(k.numerator, k.denominator)
         except Inconclusive:
-            return None
-        return outcome if isinstance(outcome, PositivityCertificate) else None
+            return False
+        return not isinstance(outcome, PositivityRefutation)
 
     lo = Fraction(0)
     hi = Fraction(1)
-    certificate = certify(hi)
-    while certificate is None:
+    while not certifies(hi):
         lo = hi
         hi = hi * 2
         if hi > DOUBLING_CAP:
             raise Inconclusive(
                 max_depth, f"no certifiable constant up to {DOUBLING_CAP}"
             )
-        certificate = certify(hi)
     while (lo == 0 and hi > REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
         mid = (lo + hi) / 2
-        probe = certify(mid)
-        if probe is None:
-            lo = mid
+        if certifies(mid):
+            hi = mid
         else:
-            hi, certificate = mid, probe
+            lo = mid
+    certificate = global_positivity(f + BivariatePoly.constant(hi), max_depth)
+    if not isinstance(certificate, PositivityCertificate):
+        raise InvariantViolated("F + C refuted after its probe certified")
     return hi, certificate
 
 

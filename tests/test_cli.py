@@ -28,6 +28,11 @@ GOLDEN_STDOUT_SHA256 = [
         "f77dbfca84a755374f594bbeaf6e3cc715679c3718204dfbde575ab3db5f3ea1",
     ),
     (("example", "2"), "bab6bee54566e5d3cff55fac6ee7e908d017e55294f478cb96e81f73fd814a73"),
+    # recorded with one full branch-and-bound per bisection probe
+    (
+        ("search", "--degree", "3", "--trials", "2", "--seed", "0"),
+        "a15709fda93180b94262a73f14eee33432f69ece744bbb6bec1f368d1c32833e",
+    ),
 ]
 
 
