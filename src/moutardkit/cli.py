@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to a file instead of stdout")
         p.add_argument(
             "--max-depth",
-            type=int,
+            type=_int_at_least(0),
             default=DEFAULT_MAX_DEPTH,
             help=f"branch-and-bound depth limit (default {DEFAULT_MAX_DEPTH})",
         )

@@ -62,7 +62,9 @@ def numeric_residual(
     """max over the grid of |-Lap_h(psi) + u*psi| with the 5-point stencil.
 
     Raises PoleTooClose when a stencil point hits a denominator zero or a
-    denominator changes sign across the stencil (a zero inside it).
+    denominator changes sign across the stencil (a zero inside it). Each
+    denominator is evaluated once per stencil point, and the pole check's
+    values divide the numerators.
     """
     step = as_fraction(h)
     if step <= 0:
@@ -70,19 +72,21 @@ def numeric_residual(
     worst = Fraction(0)
     for point in grid:
         pts = _stencil(point, step)
-        den_signs = {den: [] for den in ("u", "psi")}
+        dens = {"u": [], "psi": []}
         for px, py in pts:
             for name, fn in (("u", u), ("psi", psi)):
                 value = fn.den.evaluate(px, py)
                 if value == 0:
                     raise PoleTooClose(f"{name} denominator vanishes at ({px}, {py})")
-                den_signs[name].append(value > 0)
-        for name, signs in den_signs.items():
-            if len(set(signs)) > 1:
+                dens[name].append(value)
+        for name, values in dens.items():
+            if len({value > 0 for value in values}) > 1:
                 raise PoleTooClose(f"{name} denominator changes sign inside a stencil")
-        center, east, west, north, south = (psi.evaluate(px, py) for px, py in pts)
+        center, east, west, north, south = (
+            psi.num.evaluate(px, py) / den for (px, py), den in zip(pts, dens["psi"])
+        )
         lap_h = (east + west + north + south - 4 * center) / (step * step)
-        residual = abs(-lap_h + u.evaluate(*point) * center)
+        residual = abs(-lap_h + u.num.evaluate(*point) / dens["u"][0] * center)
         if residual > worst:
             worst = residual
     return float(worst)

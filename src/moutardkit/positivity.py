@@ -7,11 +7,13 @@ of the disk is covered by branch-and-bound with centered-form interval
 bounds. The branch-and-bound runs on integers: boxes are dyadic cells of
 the root square and their bounds integers on a common scale, so
 `Fraction`s are built only for the cells and points it reports. One box
-tree memoizes a polynomial f's bounds per box and decides f + a/b for any
-constant a/b by integer comparisons, so the constant search of `search`
-bounds each box once across all its probes; `global_positivity` is that
-traversal at offset 0. `Inconclusive` is an explicit outcome, never
-treated as positive.
+tree memoizes the bounds per box of G = w - w(0,0) and decides G + k for
+any constant k by integer comparisons; `global_positivity(w)` is its
+traversal at offset k = w(0,0). `box_tree` keeps the last tree in a
+one-entry memo keyed by (G, depth limit), so the constant search of
+`search` and its closing `global_positivity(F + C)` bound each box of a
+trial once. `Inconclusive` is an explicit outcome, never treated as
+positive.
 """
 
 from __future__ import annotations
@@ -234,10 +236,11 @@ class _BoxTree:
     `traverse` decides any offset from f's memoized (center, spread).
     """
 
-    def __init__(self, f: BivariatePoly, max_depth: Optional[int]):
+    def __init__(self, f: BivariatePoly, depth_limit: int):
+        self.poly = f
         self.bound, lower_sum, _ = leading_dominance(f)
         self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
-        self.depth_limit = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
+        self.depth_limit = depth_limit
         self.bounder = _BoxBounder(f)
         self.boxes: dict = {}  # (column, row, depth) -> (center, spread)
 
@@ -294,15 +297,41 @@ class _BoxTree:
         return cells
 
 
+_last_tree: Optional[_BoxTree] = None
+
+
+def box_tree(w: BivariatePoly, max_depth: Optional[int]) -> Tuple[_BoxTree, Fraction]:
+    """(tree of G = w - w(0,0), w(0,0)) for a nonconstant w.
+
+    w + c is G + (w(0,0) + c), so the tree decides w + c for every constant
+    c. The last tree built is kept and returned again for the same G and
+    depth limit, with every box it has bounded. Raises
+    NonPositiveLeadingForm when w's leading form is not positive definite.
+    """
+    global _last_tree
+    w0 = w.coefficient(0, 0)
+    g = w - BivariatePoly.constant(w0)
+    depth_limit = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
+    tree = _last_tree
+    if tree is None or tree.depth_limit != depth_limit or tree.poly != g:
+        tree = _last_tree = _BoxTree(g, depth_limit)
+    return tree, w0
+
+
 def global_positivity(
     w: BivariatePoly, max_depth: Optional[int] = None
 ) -> PositivityOutcome:
     """Certify w > 0 on the whole plane, or produce a refuting point.
 
-    This is `_BoxTree(w).traverse` at offset 0: outside the cutoff radius R
-    the leading form dominates, and [-R, R]^2 is covered by bisection with
-    exact centered-form bounds. Cells are returned in canonical order so
-    the certificate is independent of the processing schedule.
+    Outside the cutoff radius R the leading form dominates, and [-R, R]^2
+    is covered by bisection with exact centered-form bounds. This runs on
+    `box_tree(w)`, the tree of G = w - w(0,0), at offset w(0,0); the
+    outcome is the one of w's own tree. For w(0,0) > 0, R is G's, because
+    a positive constant term is left out of the tail sum, and every box's
+    centre and lower bound shift by w(0,0). For w(0,0) <= 0 the root box's
+    centre, the origin, refutes with value w(0,0) either way. Cells are
+    returned in canonical order so the certificate is independent of the
+    processing schedule.
     """
     if w.is_zero:
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
@@ -311,15 +340,16 @@ def global_positivity(
         if c <= 0:
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
-    tree = _BoxTree(w, max_depth)
-    outcome = tree.traverse(0, 1)
+    tree, w0 = box_tree(w, max_depth)
+    outcome = tree.traverse(w0.numerator, w0.denominator)
     if isinstance(outcome, PositivityRefutation):
         return outcome
     # sort on the integer corners over the common 2^top, then build each
     # cell's Fractions once
     max_depth_used = max(depth for _, _, depth, _ in outcome)
     top = (max_depth_used + 1) // 2
-    radius, scale, d = tree.radius, tree.bounder.denominator, tree.bounder.degree
+    radius, d = tree.radius, tree.bounder.degree
+    scale = w0.denominator * tree.bounder.denominator
     keyed = []
     for i, j, depth, lower in outcome:
         s, px, qy, hy = tree.geometry(i, j, depth)

@@ -6,9 +6,12 @@ decay as the seed degree grows; it only ever records what was certified,
 it never extrapolates.
 
 Each trial certifies W = F + C once: `min_positive_constant` runs its
-doubling and bisection probes on one memoized box tree of F, hands on
-`global_positivity(F + C)` with C, and sweeps and examples read the L2
-flags of psi_i = +-omega_i/W off that certificate in `_certified_trial`.
+doubling and bisection probes on `positivity.box_tree(F)`, the memoized
+box tree of F - F(0,0), and hands on `global_positivity(F + C)` with C.
+That call gets the same tree from `box_tree`'s one-entry memo and
+re-walks boxes the probes already bounded, so each box of a trial is
+bounded once. Sweeps and examples read the L2 flags of psi_i =
++-omega_i/W off that certificate in `_certified_trial`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
     PositivityCertificate,
     PositivityRefutation,
-    _BoxTree,
+    box_tree,
     global_positivity,
     leading_dominance,
 )
@@ -62,19 +65,17 @@ def min_positive_constant(
     2^64), then bisects; a probe that is refuted or comes back
     Inconclusive counts as not certifiable at the configured depth.
 
-    Every probe runs on one box tree of G = F - F(0,0) at offset
-    k = c + F(0,0): F + c is G + k, on each box its bounds are G's plus k,
-    and for k > 0 its cutoff radius is G's, because a positive constant
-    term is left out of the tail sum. For k <= 0 the root box's centre,
-    the origin, refutes with value k either way. So each box is bounded
-    once per trial, and W = F + C is certified once, by `global_positivity`.
+    Every probe runs on `box_tree(f)`, the tree of G = F - F(0,0), at
+    offset k = c + F(0,0), which decides F + c exactly as
+    `global_positivity(F + c)` does. The closing `global_positivity(F + C)`
+    takes the same tree from `box_tree`'s memo and walks only boxes that
+    the probe at C already bounded, so each box is bounded once per trial.
     Building the tree raises NonPositiveLeadingForm when no constant can
     work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
-    f0 = f.coefficient(0, 0)
-    tree = _BoxTree(f - BivariatePoly.constant(f0), max_depth)
+    tree, f0 = box_tree(f, max_depth)
 
     def certifies(c: Fraction) -> bool:
         k = c + f0

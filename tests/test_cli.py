@@ -110,6 +110,8 @@ def test_exit_false_on_refuted_positivity(tmp_path, capsys):
         ("search", "--degree", "1", "--trials", "1", "--seed", "0"),
         ("darboux1d", "--steps", "0"),
         ("darboux1d", "--steps", "two"),
+        ("example", "1", "--max-depth", "-1"),
+        ("search", "--degree", "2", "--trials", "1", "--seed", "0", "--max-depth", "-3"),
     ],
 )
 def test_exit_usage_on_out_of_range_flags(argv, capsys):

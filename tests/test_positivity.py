@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from moutardkit import positivity, search
 from moutardkit.errors import Inconclusive, NonPositiveLeadingForm, NotHomogeneous, OddDegree
 from moutardkit.gallery import get_example
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
+    DEFAULT_MAX_DEPTH,
+    CertifiedCell,
     PositivityCertificate,
     PositivityRefutation,
+    _BoxBounder,
+    _BoxTree,
     global_positivity,
     leading_dominance,
     leading_form_positive,
@@ -171,3 +176,138 @@ class TestGlobalPositivity:
     def test_certificate_roundtrip(self):
         cert = global_positivity(W_REF)
         assert PositivityCertificate.from_obj(cert.to_obj()) == cert
+
+
+def fresh_tree_positivity(w, max_depth=None):
+    """global_positivity built directly: a fresh tree of w itself, bounded
+    from scratch and walked at offset 0, with no memo and no shift by
+    w(0,0)."""
+    if w.is_zero:
+        return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
+    if w.degree == 0:
+        c = w.coefficient(0, 0)
+        if c <= 0:
+            return PositivityRefutation((Fraction(0), Fraction(0)), c)
+        return PositivityCertificate(c, Fraction(0), (), 0)
+    tree = _BoxTree(w, DEFAULT_MAX_DEPTH if max_depth is None else max_depth)
+    outcome = tree.traverse(0, 1)
+    if isinstance(outcome, PositivityRefutation):
+        return outcome
+    max_depth_used = max(depth for _, _, depth, _ in outcome)
+    top = (max_depth_used + 1) // 2
+    radius, scale, d = tree.radius, tree.bounder.denominator, tree.bounder.degree
+    keyed = []
+    for i, j, depth, lower in outcome:
+        s, px, qy, hy = tree.geometry(i, j, depth)
+        corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
+        keyed.append((corners, Fraction(lower, scale << s * d)))
+    keyed.sort(key=lambda cell: cell[0])
+    cells = tuple(
+        CertifiedCell(tuple(Fraction(v, 1 << top) for v in corners), lower)
+        for corners, lower in keyed
+    )
+    return PositivityCertificate(tree.bound, Fraction(radius), cells, max_depth_used)
+
+
+def outcome_or_error(fn, w, max_depth=None):
+    try:
+        return fn(w, max_depth)
+    except Inconclusive as exc:
+        return ("Inconclusive", str(exc))
+
+
+def off_centre_disk():
+    dx = X - BivariatePoly.constant(Fraction(5, 2))
+    dy = Y - BivariatePoly.constant(Fraction(3, 2))
+    return dx * dx + dy * dy - BivariatePoly.constant(1)
+
+
+class TestBoxTreeMemo:
+    """global_positivity(w) walks the memoized tree of w - w(0,0) at offset
+    w(0,0); every outcome must be the one of a fresh tree of w itself."""
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            pytest.param(W_REF, id="w00-positive"),
+            pytest.param(W_SEARCH, id="w00-positive-radius-7"),
+            pytest.param(W_REF - BivariatePoly.constant(159), id="w00-positive-near-minimum"),
+            pytest.param(R2, id="w00-zero"),
+            pytest.param(W_REF - BivariatePoly.constant(160), id="w00-zero-nonradial"),
+            pytest.param(R2 - BivariatePoly.constant(1), id="w00-negative"),
+            pytest.param(W_REF - BivariatePoly.constant(161), id="w00-negative-nonradial"),
+            pytest.param(off_centre_disk(), id="refuted-off-the-root-centre"),
+        ],
+    )
+    def test_matches_a_fresh_tree(self, monkeypatch, w):
+        monkeypatch.setattr(positivity, "_last_tree", None)
+        expected = fresh_tree_positivity(w)
+        assert global_positivity(w) == expected
+        assert global_positivity(w) == expected  # again, from the memo
+
+    def test_inconclusive_at_a_small_depth_limit(self):
+        for depth in (0, 3, 7):
+            expected = outcome_or_error(fresh_tree_positivity, W_REF, depth)
+            assert expected[0] == "Inconclusive"
+            assert outcome_or_error(global_positivity, W_REF, depth) == expected
+
+    def test_interleaved_calls_never_reach_a_stale_tree(self):
+        shifted = W_REF + BivariatePoly.constant(Fraction(7, 3))  # same tree as W_REF
+        calls = [
+            (W_REF, 3),
+            (W_REF, None),
+            (W_SEARCH, None),
+            (W_REF, None),
+            (W_REF, 3),
+            (shifted, None),
+            (W_REF - BivariatePoly.constant(161), None),
+            (W_SEARCH, 5),
+            (W_REF, 8),
+        ]
+        for w, depth in calls:
+            expected = outcome_or_error(fresh_tree_positivity, w, depth)
+            assert outcome_or_error(global_positivity, w, depth) == expected, (w, depth)
+
+    def test_tree_is_shared_by_constant_shifts_only(self):
+        tree, w0 = positivity.box_tree(W_REF, None)
+        assert w0 == 160
+        assert positivity.box_tree(W_REF + BivariatePoly.constant(-3), None) == (tree, 157)
+        assert positivity.box_tree(W_REF, 12)[0] is not tree
+        assert positivity.box_tree(W_REF, None)[0] is not tree  # the memo holds one entry
+
+
+@pytest.fixture
+def bounds_calls(monkeypatch):
+    """Counts _BoxBounder.bounds calls, starting from an empty memo."""
+    calls = [0]
+    original = _BoxBounder.bounds
+
+    def counting(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(_BoxBounder, "bounds", counting)
+    monkeypatch.setattr(positivity, "_last_tree", None)
+    return calls
+
+
+def test_closing_certification_bounds_no_box(monkeypatch, bounds_calls):
+    _, f = search.orient_for_positivity(get_example(2).seeds)
+    during_certification = []
+
+    def certify(w, max_depth=None):
+        before = bounds_calls[0]
+        outcome = global_positivity(w, max_depth)
+        during_certification.append(bounds_calls[0] - before)
+        return outcome
+
+    monkeypatch.setattr(search, "global_positivity", certify)
+    constant, certificate = search.min_positive_constant(f)
+    assert during_certification == [0]
+    assert bounds_calls[0] > 0
+    assert certificate == fresh_tree_positivity(f + BivariatePoly.constant(constant))
+
+
+def test_example_2_bounds_each_box_once(bounds_calls):
+    search.verify_example_full(2)
+    assert bounds_calls[0] == 1577
