@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import construct, darboux, numeric, search, serialization
 from .errors import Inconclusive, MoutardKitError, VerificationFailed
-from .polynomials import BivariatePoly, RationalFn
+from .polynomials import RationalFn
 from .positivity import DEFAULT_MAX_DEPTH, PositivityCertificate, global_positivity
 from .moutard import verify_solution
 
@@ -101,7 +101,7 @@ def _load_rationalfn(path: str) -> RationalFn:
     try:
         if "num" in obj and "den" in obj and "terms" not in obj:
             return serialization.obj_to_rationalfn(obj)
-        return RationalFn.from_poly(serialization.obj_to_poly(obj))
+        return RationalFn(serialization.obj_to_poly(obj))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: bad function file: {exc}") from exc
 
@@ -166,8 +166,6 @@ def cmd_positivity(args) -> int:
 
 def cmd_sample(args) -> int:
     fn = _load_rationalfn(args.fn)
-    if args.resolution < 2:
-        raise UsageError("resolution must be at least 2")
     lo, hi = _parse_fraction(args.min), _parse_fraction(args.max)
     if lo >= hi:
         raise UsageError("empty sampling range")
@@ -175,12 +173,11 @@ def cmd_sample(args) -> int:
     lines = ["x,y,value"]
     poles = 0
     for px, py in grid:
-        den = fn.den.evaluate(px, py)
-        if den == 0:
+        try:
+            value = _decimal17(fn.evaluate(px, py))
+        except ZeroDivisionError:
             poles += 1
             value = "nan"
-        else:
-            value = _decimal17(fn.num.evaluate(px, py) / den)
         lines.append(f"{_decimal17(px)},{_decimal17(py)},{value}")
     if poles:
         print(f"warning: {poles} grid points hit a pole", file=sys.stderr)
@@ -214,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", help="write the report to a file instead of stdout")
+
+    def add_max_depth(p):
         p.add_argument(
             "--max-depth",
             type=_int_at_least(0),
@@ -224,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="reproduce and verify a built-in example")
     p.add_argument("ident", type=int, choices=(1, 2), metavar="{1,2}")
     add_common(p)
+    add_max_depth(p)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("transform", help="run the double construction on a seeds file")
@@ -241,13 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("positivity", help="certify or refute global positivity")
     p.add_argument("--poly", required=True)
     add_common(p)
+    add_max_depth(p)
     p.set_defaults(func=cmd_positivity)
 
     p = sub.add_parser("sample", help="sample a function on a square grid as CSV")
     p.add_argument("--fn", required=True)
     p.add_argument("--min", default="-5")
     p.add_argument("--max", default="5")
-    p.add_argument("--resolution", type=int, default=101, help="points per side")
+    p.add_argument("--resolution", type=_int_at_least(2), default=101, help="points per side")
     add_common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -256,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     add_common(p)
+    add_max_depth(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("darboux1d", help="the one-dimensional chain of potentials")

@@ -139,28 +139,16 @@ def calibrate_against(
 ) -> Tuple[Fraction, Fraction]:
     """The unique (lambda, C) with lambda*F + C = target, if it exists.
 
-    Solved coefficient-wise over the nonconstant monomials; raises
-    NoAffineMatch when the linear system is inconsistent.
+    lambda is read off one nonconstant monomial of F; raises NoAffineMatch
+    when it is zero or target - lambda*F is not a constant.
     """
     if f.degree <= 0:
         raise ValueError("calibration needs a nonconstant polynomial")
-    lam = None
-    for (i, j), coeff in f.items():
-        if (i, j) == (0, 0):
-            continue
-        t = target_w.coefficient(i, j)
-        ratio = t / coeff
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            raise NoAffineMatch("inconsistent scale across monomials")
-    # target monomials missing from F must be absent
-    for (i, j), coeff in target_w.items():
-        if (i, j) != (0, 0) and f.coefficient(i, j) == 0 and coeff != 0:
-            raise NoAffineMatch(f"target has monomial x^{i} y^{j} outside F's support")
-    if lam is None:
-        raise InvariantViolated("nonconstant polynomial without a nonconstant monomial")
+    (i, j), coeff = next((e, c) for e, c in f.items() if e != (0, 0))
+    lam = target_w.coefficient(i, j) / coeff
     if lam == 0:
-        raise NoAffineMatch("target is constant but F is not")
-    c = target_w.coefficient(0, 0) - lam * f.coefficient(0, 0)
-    return lam, c
+        raise NoAffineMatch(f"target lacks F's monomial x^{i} y^{j}")
+    rest = target_w - f.scale(lam)
+    if rest.degree > 0:
+        raise NoAffineMatch("target is not an affine image of F")
+    return lam, rest.coefficient(0, 0)

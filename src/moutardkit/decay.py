@@ -9,7 +9,6 @@ from the exponent, plus whether the rate is attained along generic rays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import OddDegree
 from .polynomials import RationalFn
@@ -69,10 +68,10 @@ def square_summable(report: DecayReport, den_outcome: PositivityOutcome) -> bool
     return certified and report.bound_valid and report.exponent >= 2
 
 
-def l2_membership(psi: RationalFn, max_depth: Optional[int] = None) -> bool:
+def l2_membership(psi: RationalFn) -> bool:
     """`square_summable` for psi after certifying its denominator here; a
     caller holding that certificate already (search, for W) applies the
     rule directly. Inconclusive positivity propagates, never guessed.
     """
-    outcome = global_positivity(psi.den, max_depth=max_depth)
+    outcome = global_positivity(psi.den)
     return square_summable(decay_exponent(psi), outcome)

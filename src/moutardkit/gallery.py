@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .construct import SeedPair
 from .polynomials import BivariatePoly, RationalFn
-
-_X, _Y = BivariatePoly.variables()
-
-
-def _poly(terms: dict) -> BivariatePoly:
-    return BivariatePoly(terms)
 
 
 @dataclass(frozen=True)
@@ -42,11 +36,11 @@ class BuiltinExample:
 
 
 def _example_1() -> BuiltinExample:
-    omega1 = _poly({(1, 0): 1, (2, 0): 2, (0, 2): -2, (1, 1): 1})
-    omega2 = _poly(
+    omega1 = BivariatePoly({(1, 0): 1, (2, 0): 2, (0, 2): -2, (1, 1): 1})
+    omega2 = BivariatePoly(
         {(1, 0): 1, (0, 1): 1, (2, 0): Fraction(3, 2), (0, 2): Fraction(-3, 2), (1, 1): 5}
     )
-    w = _poly(
+    w = BivariatePoly(
         {
             (0, 0): 160,
             (2, 0): 4,
@@ -60,11 +54,11 @@ def _example_1() -> BuiltinExample:
             (0, 4): 17,
         }
     )
-    u_num = _poly(
+    u_num = BivariatePoly(
         {(0, 0): -5120, (1, 0): -40960, (0, 1): -10240, (2, 0): -87040, (0, 2): -87040}
     )
-    psi1_num = _poly({(1, 0): 1, (2, 0): 2, (1, 1): 1, (0, 2): -2})
-    psi2_num = _poly({(1, 0): 2, (0, 1): 2, (2, 0): 3, (1, 1): 10, (0, 2): -3})
+    psi1_num = BivariatePoly({(1, 0): 1, (2, 0): 2, (1, 1): 1, (0, 2): -2})
+    psi2_num = BivariatePoly({(1, 0): 2, (0, 1): 2, (2, 0): 3, (1, 1): 10, (0, 2): -3})
     reference = ReferenceForms(
         w_poly=w,
         u=RationalFn(u_num, w * w),
@@ -81,7 +75,7 @@ def _example_1() -> BuiltinExample:
 
 
 def _example_2() -> BuiltinExample:
-    omega1 = _poly(
+    omega1 = BivariatePoly(
         {
             (1, 0): 1,
             (2, 0): Fraction(1, 5),
@@ -93,7 +87,7 @@ def _example_2() -> BuiltinExample:
             (0, 3): 2,
         }
     )
-    omega2 = _poly(
+    omega2 = BivariatePoly(
         {
             (1, 0): 1,
             (0, 1): 1,

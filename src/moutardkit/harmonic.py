@@ -1,8 +1,11 @@
-"""Harmonic polynomial seeds: the Re/Im((x+iy)^n) basis and random
-rational combinations of it.
+"""Harmonic polynomial seeds: the Re/Im((x+iy)^n) basis, random rational
+combinations of it, and harmonic conjugates.
 
 Parameterizing seeds in this basis makes harmonicity structural; nothing
-ever needs to solve the Laplace equation.
+ever needs to solve the Laplace equation. The conjugate of a harmonic u
+is the quadrature of the Cauchy-Riemann form -u_y dx + u_x dy, which is
+closed exactly when u is harmonic, so it runs through the same
+`integrate_closed` as the Moutard step.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Literal, Tuple
 
+from .moutard import ClosedOneForm, integrate_closed
 from .polynomials import BivariatePoly, RationalLike, as_fraction
 
 Part = Literal["re", "im"]
@@ -68,40 +72,13 @@ class HarmonicCombo:
             clean[(n, part)] = c
         return cls(clean, total)
 
-    def to_obj(self) -> dict:
-        return {
-            "terms": [
-                {"n": n, "part": part, "num": str(c.numerator), "den": str(c.denominator)}
-                for (n, part), c in sorted(self.coefficients.items())
-            ]
-        }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "HarmonicCombo":
-        coeffs = {
-            (t["n"], t["part"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in obj["terms"]
-        }
-        return cls.from_coefficients(coeffs)
+def conjugate(u: BivariatePoly) -> BivariatePoly:
+    """The harmonic conjugate v of u with v(0,0) = 0: v_x = -u_y, v_y = u_x.
 
-
-def conjugate(combo: HarmonicCombo) -> HarmonicCombo:
-    """The harmonic conjugate: Re(f) -> Im(f) termwise in the z^n basis.
-
-    Writing the combo as Re(sum c_n z^n), the conjugate realizes
-    Im(sum c_n z^n); the pair solves the Cauchy-Riemann equations. Any
-    constant term is dropped (the conjugate of a constant is 0 up to the
-    usual additive ambiguity).
+    u + iv is then holomorphic. Raises NotClosed when u is not harmonic.
     """
-    conjugated: Dict[Tuple[int, Part], Fraction] = {}
-    for (n, part), c in combo.coefficients.items():
-        if n == 0:
-            continue
-        if part == "im":
-            conjugated[(n, "re")] = conjugated.get((n, "re"), Fraction(0)) - c
-        else:
-            conjugated[(n, "im")] = conjugated.get((n, "im"), Fraction(0)) + c
-    return HarmonicCombo.from_coefficients(conjugated)
+    return integrate_closed(ClosedOneForm(-u.diff_y(), u.diff_x()))
 
 
 def random_combo(

@@ -17,7 +17,6 @@ inside exact termwise antidifferentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolated, NotClosed, NotCoKernel, SeedNotInKernel, ZeroSeed
 from .polynomials import BivariatePoly, RationalFn, RationalLike

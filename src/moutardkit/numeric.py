@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .decay import decay_exponent
-from .errors import Inconclusive, PoleTooClose
+from .errors import PoleTooClose
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
 from .positivity import PositivityCertificate, global_positivity, leading_dominance
 
@@ -117,7 +117,6 @@ def numeric_l2_norm(
     outer_radius: RationalLike,
     radial_cells: int = 256,
     angular_cells: int = 256,
-    max_depth: Optional[int] = None,
 ) -> L2Estimate:
     """Estimate the squared L2 norm of psi over the plane.
 
@@ -127,7 +126,7 @@ def numeric_l2_norm(
     of `outer_radius` and the radius where the denominator's leading form
     dominates, so the tail constant is actually valid.
     """
-    outcome = global_positivity(psi.den, max_depth=max_depth)
+    outcome = global_positivity(psi.den)
     if not isinstance(outcome, PositivityCertificate):
         raise PoleTooClose(
             f"denominator is not positive (counterexample at {outcome.point})"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Iterator, Mapping, Tuple, Union
 
 from .errors import ExactDivisionError
 
@@ -117,8 +117,7 @@ class BivariatePoly:
                     raise ValueError(f"bad exponent pair {(i, j)!r}")
                 c = as_fraction(coeff)
                 if c != 0:
-                    clean[(i, j)] = clean.get((i, j), Fraction(0)) + c
-            clean = {e: c for e, c in clean.items() if c != 0}
+                    clean[(i, j)] = c
         self._terms = clean
 
     @classmethod
@@ -375,10 +374,6 @@ class RationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: BivariatePoly) -> "RationalFn":
-        return cls(p)
 
     @classmethod
     def zero(cls) -> "RationalFn":

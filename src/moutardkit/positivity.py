@@ -333,9 +333,7 @@ def global_positivity(
     returned in canonical order so the certificate is independent of the
     processing schedule.
     """
-    if w.is_zero:
-        return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
-    if w.degree == 0:
+    if w.degree <= 0:
         c = w.coefficient(0, 0)
         if c <= 0:
             return PositivityRefutation((Fraction(0), Fraction(0)), c)

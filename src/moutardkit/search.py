@@ -92,7 +92,7 @@ def min_positive_constant(
         hi = hi * 2
         if hi > DOUBLING_CAP:
             raise Inconclusive(
-                max_depth, f"no certifiable constant up to {DOUBLING_CAP}"
+                tree.depth_limit, f"no certifiable constant up to {DOUBLING_CAP}"
             )
     while (lo == 0 and hi > REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
         mid = (lo + hi) / 2
@@ -186,20 +186,19 @@ def _draw_pair(rng: random.Random, degree: int, coefficient_bound: int) -> SeedP
 
     def draw_exact_degree():
         while True:
-            combo = random_combo(degree, 0, coefficient_bound, rng=rng)
-            if combo.realized.degree == degree:
-                return combo
+            omega = random_combo(degree, 0, coefficient_bound, rng=rng).realized
+            if omega.degree == degree:
+                return omega
 
-    base = draw_exact_degree()
-    omega1 = base.realized
+    omega1 = draw_exact_degree()
     if rng.randint(0, 1):
         mix = Fraction(rng.randint(-2, 2))
-        omega2 = conjugate(base).realized + omega1.scale(mix)
+        omega2 = conjugate(omega1) + omega1.scale(mix)
         if not proportional(omega1, omega2):
             return SeedPair.harmonic(omega1, omega2)
-    omega2 = draw_exact_degree().realized
+    omega2 = draw_exact_degree()
     while proportional(omega1, omega2):
-        omega2 = draw_exact_degree().realized
+        omega2 = draw_exact_degree()
     return SeedPair.harmonic(omega1, omega2)
 
 

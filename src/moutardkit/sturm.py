@@ -4,17 +4,18 @@ A univariate polynomial is a y-free `BivariatePoly` (every term (i, 0)).
 It is cleared to integers once, and the chain is kept as dense lists of
 primitive integer coefficients in ascending powers: each remainder is an
 integer pseudo-remainder whose sign is corrected so that it is a positive
-multiple of -rem(...). The sign at a rational p/q (q > 0) is the sign of
-the integer sum c_i p^i q^(n-i). Positive scaling never changes a sign
-count, so no `Fraction` is needed after the input is cleared.
+multiple of -rem(...). Roots are counted on the whole real line, which is
+all that positivity on the unit circle needs: the sign of a chain member
+at -infinity or +infinity is the sign of its leading coefficient, times
+(-1)^degree at -infinity. Positive scaling never changes a sign count, so
+no `Fraction` is needed after the input is cleared.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
 
-from .polynomials import BivariatePoly, RationalLike, as_fraction
+from .polynomials import BivariatePoly
 
 Dense = list[int]  # ascending coefficients, nonzero last entry
 
@@ -72,47 +73,16 @@ def sturm_chain(p: BivariatePoly) -> list[Dense]:
     return chain
 
 
-def _sign_changes(signs: Iterable[int]) -> int:
-    changes = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            changes += 1
-        prev = s
-    return changes
+def _variations(chain: list[Dense], side: int) -> int:
+    """Sign changes along the chain at side * infinity, where no member vanishes."""
+    signs = [_sign(c[-1]) * side ** (len(c) - 1) for c in chain]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sign_at(coeffs: Dense, p: int, q: int) -> int:
-    """Sign of the polynomial at p/q, q > 0, by Horner on sum c_i p^i q^(n-i)."""
-    acc, q_pow = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        q_pow *= q
-        acc = acc * p + c * q_pow
-    return _sign(acc)
-
-
-def _variations(chain: list[Dense], end: Optional[RationalLike], side: int) -> int:
-    """Sign changes along the chain at `end`, or at side * infinity if None."""
-    if end is None:
-        return _sign_changes(_sign(c[-1] * side ** (len(c) - 1)) for c in chain)
-    v = as_fraction(end)
-    return _sign_changes(_sign_at(c, v.numerator, v.denominator) for c in chain)
-
-
-def count_real_roots(
-    p: BivariatePoly,
-    lower: Optional[RationalLike] = None,
-    upper: Optional[RationalLike] = None,
-) -> int:
-    """Number of distinct real roots of the y-free p in (lower, upper].
-
-    Unbounded ends count roots on the whole half-line / line. The bounded
-    endpoints must not themselves be roots of p.
-    """
+def count_real_roots(p: BivariatePoly) -> int:
+    """Number of distinct real roots of the y-free p on the whole line."""
     chain = sturm_chain(p)
-    return _variations(chain, lower, -1) - _variations(chain, upper, 1)
+    return _variations(chain, -1) - _variations(chain, 1)
 
 
 def is_positive_everywhere(p: BivariatePoly) -> bool:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from moutardkit import cli
+from moutardkit import cli, gallery, serialization
+from moutardkit.polynomials import BivariatePoly, RationalFn
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,11 +113,27 @@ def test_exit_false_on_refuted_positivity(tmp_path, capsys):
         ("darboux1d", "--steps", "two"),
         ("example", "1", "--max-depth", "-1"),
         ("search", "--degree", "2", "--trials", "1", "--seed", "0", "--max-depth", "-3"),
+        ("sample", "--fn", "absent.json", "--resolution", "1"),
     ],
 )
 def test_exit_usage_on_out_of_range_flags(argv, capsys):
     assert run(*argv) == cli.EXIT_USAGE
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--seeds", str(DATA / "pair_d5.json"), "--constant", "358"),
+        ("verify", "--potential", "u.json", "--solution", "psi.json"),
+        ("sample", "--fn", "f.json"),
+        ("darboux1d",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_max_depth_is_rejected_where_no_positivity_runs(argv, capsys):
+    assert run(*argv, "--max-depth", "0") == cli.EXIT_USAGE
+    assert "unrecognized arguments: --max-depth" in capsys.readouterr().err
 
 
 def test_exit_usage_on_missing_file(tmp_path, capsys):
@@ -131,3 +148,50 @@ def test_exit_inconclusive_at_depth_zero(tmp_path, capsys):
     )
     assert run("positivity", "--poly", poly, "--max-depth", "0") == cli.EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().err
+
+
+def reference_files(tmp_path):
+    """Example 1's reference psi1 and W, and 1/x, as CLI input files."""
+    ref = gallery.get_example(1).reference
+    objs = {
+        "psi1": serialization.rationalfn_to_obj(ref.psi1),
+        "w": serialization.poly_to_obj(ref.w_poly),
+        "inv_x": serialization.rationalfn_to_obj(
+            RationalFn(BivariatePoly.constant(1), BivariatePoly.monomial(1, 0))
+        ),
+    }
+    for name, obj in objs.items():
+        (tmp_path / f"{name}.json").write_text(serialization.dumps(obj), encoding="utf-8")
+    return {name: str(tmp_path / f"{name}.json") for name in objs}
+
+
+# SHA-256 of the stdout of `moutardkit ARGV...` on the files of
+# `reference_files`, recorded with the sample loop that tested the
+# denominator for zero before dividing
+REFERENCE_STDOUT_SHA256 = [
+    (
+        ("sample", "--fn", "psi1", "--resolution", "21"),
+        "86858cc4e0d48cc1f9f1d495a2a3a163065c60508a286b3bbe2e294fd0cb58ef",
+    ),
+    (
+        ("sample", "--fn", "inv_x", "--min", "-1", "--max", "1", "--resolution", "3"),
+        "f587022d2eee30b19cf74c48ed676fa71a9d32627a0e221922fb65da85788324",
+    ),
+    (
+        ("positivity", "--poly", "w"),
+        "58c94ba19a0cc81d0155542a8c08963af4af20ee5dc38dd5aa0650522345aa40",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    REFERENCE_STDOUT_SHA256,
+    ids=["sample-psi1", "sample-inv-x-poles", "positivity-w"],
+)
+def test_golden_stdout_on_reference_files(argv, digest, tmp_path, capsys):
+    files = reference_files(tmp_path)
+    assert run(*(files.get(arg, arg) for arg in argv)) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+    assert ("warning: 3 grid points hit a pole" in captured.err) == ("inv_x" in argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from moutardkit.errors import NotClosed
 from moutardkit.harmonic import (
     HarmonicCombo,
     conjugate,
@@ -62,16 +63,29 @@ def test_random_combo_degree_two_support():
 
 
 def test_conjugate_generators():
-    assert conjugate(HarmonicCombo.from_coefficients({(1, "re"): 1})).realized == Y
-    assert conjugate(HarmonicCombo.from_coefficients({(1, "im"): 1})).realized == -X
+    assert conjugate(X) == Y
+    assert conjugate(Y) == -X
+    assert conjugate(BivariatePoly.constant(7)).is_zero
+
+
+def test_conjugate_matches_the_basis_pair():
+    # Im(z^n) is the conjugate of Re(z^n); both vanish at the origin
+    for n in range(1, 8):
+        re, im = harmonic_basis(n)
+        assert conjugate(re) == im
+        assert conjugate(im) == -re
+
+
+def test_conjugate_rejects_a_non_harmonic_polynomial():
+    with pytest.raises(NotClosed):
+        conjugate(X * X)
 
 
 def test_conjugate_satisfies_cauchy_riemann():
     rng = random.Random(3)
     for _ in range(10):
-        combo = random_combo(4, 0, 6, rng=rng)
-        partner = conjugate(combo)
-        u, v = combo.realized, partner.realized
+        u = random_combo(4, 0, 6, rng=rng).realized
+        v = conjugate(u)
         assert u.diff_x() == v.diff_y()
         assert u.diff_y() == -v.diff_x()
 
@@ -84,4 +98,4 @@ def test_conjugate_reconstructs_second_seed_of_first_example():
     omega2 = BivariatePoly(
         {(1, 0): 1, (0, 1): 1, (2, 0): Fraction(3, 2), (0, 2): Fraction(-3, 2), (1, 1): 5}
     )
-    assert omega1 + conjugate(base).realized == omega2
+    assert omega1 + conjugate(omega1) == omega2

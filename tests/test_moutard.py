@@ -159,7 +159,7 @@ class TestMoutardSolution:
 
 class TestVerifySolution:
     def test_harmonic_solution(self):
-        assert verify_solution(ZERO_U, RationalFn.from_poly(X * X - Y * Y))
+        assert verify_solution(ZERO_U, RationalFn(X * X - Y * Y))
 
     def test_reference_pair(self):
         ref = get_example(1).reference
@@ -167,4 +167,4 @@ class TestVerifySolution:
         assert verify_solution(ref.u, ref.psi2)
 
     def test_non_solution(self):
-        assert not verify_solution(ZERO_U, RationalFn.from_poly(X * X))
+        assert not verify_solution(ZERO_U, RationalFn(X * X))

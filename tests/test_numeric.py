@@ -28,7 +28,7 @@ def test_uniform_grid():
 def test_stencil_exact_on_harmonic_quadratic():
     grid = uniform_grid(-3, 3, -3, 3, 7)
     res = numeric_residual(
-        RationalFn.zero(), RationalFn.from_poly(X * X - Y * Y), grid, Fraction(1, 10)
+        RationalFn.zero(), RationalFn(X * X - Y * Y), grid, Fraction(1, 10)
     )
     assert res == 0.0
 

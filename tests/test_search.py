@@ -1,16 +1,18 @@
 """Search drivers: the constant bisection, orientation, trial records, sweep
 order, and how often the example pipeline certifies W."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from moutardkit import decay, numeric, search
+from moutardkit import decay, numeric, search, serialization
 from moutardkit.construct import SeedPair, double_transform, transform_family
 from moutardkit.errors import Inconclusive, InvariantViolated, NonPositiveLeadingForm
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
+    DEFAULT_MAX_DEPTH,
     PositivityCertificate,
     PositivityRefutation,
     global_positivity,
@@ -26,6 +28,31 @@ FAST_PAIR_SEEDS = (2, 5)
 
 def degree2_pair(seed):
     return search._draw_pair(random.Random(seed), 2, 5)
+
+
+# SHA-256 of the canonical JSON of search._draw_pair(Random(seed), degree, 5)
+# for seeds 0-99, one line per seed, recorded with the conjugate taken
+# termwise in the Re/Im(z^n) basis; the benchmark predicts its sweep
+# inputs with this generator
+DRAW_PAIR_SHA256 = {
+    2: "3013256c03d5de3b8c8184cdfde8078c4383b354306bf7191b800d3869d2eb04",
+    3: "81d9bf0ce41ccf15723024e2ee1f7622a02e88730a11593e1409f47eddf27ecf",
+    4: "acdedbd1c7f4ec86b9929fd7e51a23f592c7aa0976cf557d4f3e85e269b91503",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(DRAW_PAIR_SHA256))
+def test_draw_pair_stream_is_pinned(degree):
+    lines = [
+        serialization.dumps(
+            search._seeds_obj(
+                search._draw_pair(random.Random(seed), degree, search.COEFFICIENT_BOUND)
+            )
+        )
+        for seed in range(100)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == DRAW_PAIR_SHA256[degree]
 
 
 def reference_min_positive_constant(f, max_depth=None):
@@ -90,8 +117,13 @@ def test_min_positive_constant_rejects_a_final_certification_that_disagrees(monk
 
 def test_min_positive_constant_stops_at_the_doubling_cap():
     # the minimum of x^2 + y^2 - 2^70 x is -2^138, far below -2^64
-    with pytest.raises(Inconclusive, match=f"no certifiable constant up to {2**64}$"):
-        search.min_positive_constant(X * X + Y * Y - X.scale(2**70))
+    f = X * X + Y * Y - X.scale(2**70)
+    with pytest.raises(Inconclusive, match=f"no certifiable constant up to {2**64}$") as info:
+        search.min_positive_constant(f)
+    assert info.value.max_depth == DEFAULT_MAX_DEPTH
+    with pytest.raises(Inconclusive) as info:
+        search.min_positive_constant(f, 12)
+    assert info.value.max_depth == 12
 
 
 @pytest.mark.parametrize("seed", FAST_PAIR_SEEDS)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from moutardkit import serialization as ser
-from moutardkit.harmonic import HarmonicCombo
 from moutardkit.polynomials import BivariatePoly, RationalFn
 
 
@@ -68,11 +67,3 @@ def test_rationalfn1d_roundtrip():
     text = ser.dumps(ser.rationalfn1d_to_obj(f))
     assert ser.obj_to_rationalfn1d(json.loads(text)) == f
 
-
-def test_combo_roundtrip():
-    combo = HarmonicCombo.from_coefficients(
-        {(1, "re"): 1, (2, "re"): 2, (2, "im"): Fraction(1, 2)}
-    )
-    back = HarmonicCombo.from_obj(combo.to_obj())
-    assert back == combo
-    assert back.realized == combo.realized
