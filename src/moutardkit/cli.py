@@ -18,9 +18,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
-from . import construct, darboux, numeric, search, serialization
+from . import construct, darboux, search, serialization
 from .errors import Inconclusive, MoutardKitError, VerificationFailed
-from .polynomials import RationalFn
+from .polynomials import RationalFn, _int_eval, _integer_point
 from .positivity import DEFAULT_MAX_DEPTH, PositivityCertificate, global_positivity
 from .moutard import verify_solution
 
@@ -169,16 +169,21 @@ def cmd_sample(args) -> int:
     lo, hi = _parse_fraction(args.min), _parse_fraction(args.max)
     if lo >= hi:
         raise UsageError("empty sampling range")
-    grid = numeric.uniform_grid(lo, hi, lo, hi, args.resolution)
+    # the axis of numeric.uniform_grid(lo, hi, lo, hi, resolution), on one denominator q
+    axis = [lo + (hi - lo) * i / (args.resolution - 1) for i in range(args.resolution)]
+    q, *ints = _integer_point(*axis)
+    labels = [_decimal17(v) for v in axis]
+    num, den, d = fn._int_pair()
     lines = ["x,y,value"]
     poles = 0
-    for px, py in grid:
-        try:
-            value = _decimal17(fn.evaluate(px, py))
-        except ZeroDivisionError:
-            poles += 1
-            value = "nan"
-        lines.append(f"{_decimal17(px)},{_decimal17(py)},{value}")
+    for x, x_label in zip(ints, labels):
+        for y, y_label in zip(ints, labels):
+            try:
+                value = _decimal17(Fraction(_int_eval(num, d, x, y, q), _int_eval(den, d, x, y, q)))
+            except ZeroDivisionError:
+                poles += 1
+                value = "nan"
+            lines.append(f"{x_label},{y_label},{value}")
     if poles:
         print(f"warning: {poles} grid points hit a pole", file=sys.stderr)
     _emit("\n".join(lines), args.out)

@@ -105,7 +105,7 @@ def integrate_closed(form: ClosedOneForm) -> BivariatePoly:
         raise NotClosed("y-remainder depends on x")
     f = fx_part + remainder.integrate_y()
     # both termwise antiderivatives produce no constant term
-    if f.evaluate(0, 0) != 0:
+    if f.coefficient(0, 0) != 0:
         raise InvariantViolated("quadrature has a constant term")
     return f
 

@@ -1,8 +1,9 @@
 """Floating-point oracles: finite-difference residuals and L2 estimates.
 
 These are the only two places the package touches floating point. The
-finite-difference stencil itself is evaluated in exact rational
-arithmetic (so the reported residual is pure truncation error, decreasing
+finite-difference stencil is exact: u and psi are evaluated on integers at
+each stencil's common denominator and combined into one exact rational per
+grid point (so the reported residual is pure truncation error, decreasing
 at O(h^2) wherever the symbolic residual vanishes); only the final
 magnitudes are floats.
 """
@@ -17,6 +18,7 @@ from typing import List, Sequence, Tuple
 from .decay import decay_exponent
 from .errors import PoleTooClose
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
+from .polynomials import _int_eval, _integer_point  # the cleared-integer kernel
 from .positivity import PositivityCertificate, global_positivity, leading_dominance
 
 Point = Tuple[Fraction, Fraction]
@@ -42,17 +44,6 @@ def uniform_grid(
     ]
 
 
-def _stencil(point: Point, h: Fraction) -> Tuple[Point, ...]:
-    x0, y0 = point
-    return (
-        (x0, y0),
-        (x0 + h, y0),
-        (x0 - h, y0),
-        (x0, y0 + h),
-        (x0, y0 - h),
-    )
-
-
 def numeric_residual(
     u: RationalFn,
     psi: RationalFn,
@@ -63,30 +54,38 @@ def numeric_residual(
 
     Raises PoleTooClose when a stencil point hits a denominator zero or a
     denominator changes sign across the stencil (a zero inside it). Each
-    denominator is evaluated once per stencil point, and the pole check's
-    values divide the numerators.
+    stencil is evaluated on integers over one common denominator q, and
+    its five values combine into one exact residual per grid point.
     """
     step = as_fraction(h)
     if step <= 0:
         raise ValueError("step h must be positive")
+    u_num, u_den, u_degree = u._int_pair()
+    psi_num, psi_den, psi_degree = psi._int_pair()
     worst = Fraction(0)
-    for point in grid:
-        pts = _stencil(point, step)
+    for x0, y0 in grid:
+        q, x, y, s = _integer_point(x0, y0, step)
+        pts = ((x, y), (x + s, y), (x - s, y), (x, y + s), (x, y - s))
         dens = {"u": [], "psi": []}
         for px, py in pts:
-            for name, fn in (("u", u), ("psi", psi)):
-                value = fn.den.evaluate(px, py)
+            for name, den, degree in (("u", u_den, u_degree), ("psi", psi_den, psi_degree)):
+                value = _int_eval(den, degree, px, py, q)
                 if value == 0:
-                    raise PoleTooClose(f"{name} denominator vanishes at ({px}, {py})")
+                    where = f"({Fraction(px, q)}, {Fraction(py, q)})"
+                    raise PoleTooClose(f"{name} denominator vanishes at {where}")
                 dens[name].append(value)
         for name, values in dens.items():
             if len({value > 0 for value in values}) > 1:
                 raise PoleTooClose(f"{name} denominator changes sign inside a stencil")
-        center, east, west, north, south = (
-            psi.num.evaluate(px, py) / den for (px, py), den in zip(pts, dens["psi"])
-        )
-        lap_h = (east + west + north + south - 4 * center) / (step * step)
-        residual = abs(-lap_h + u.num.evaluate(*point) / dens["u"][0] * center)
+        # h^2 * Lap_h(psi) = a/b, summed as integer pairs over the stencil
+        d0 = dens["psi"][0]
+        n0 = _int_eval(psi_num, psi_degree, x, y, q)
+        a, b = -4 * n0, d0
+        for (px, py), d in zip(pts[1:], dens["psi"][1:]):
+            a, b = a * d + _int_eval(psi_num, psi_degree, px, py, q) * b, b * d
+        # -Lap_h(psi) + u*psi with h = s/q and u(center) = w0/e0
+        w0, e0 = _int_eval(u_num, u_degree, x, y, q), dens["u"][0]
+        residual = abs(Fraction(w0 * n0 * b * s * s - a * q * q * e0 * d0, b * s * s * e0 * d0))
         if residual > worst:
             worst = residual
     return float(worst)

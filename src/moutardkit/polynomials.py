@@ -20,6 +20,10 @@ An exact quotient by a primitive integer divisor is integral (Gauss's
 lemma); it is unpacked, checked by multiplying back, and retried with
 wider slots up to the Mignotte bound on its coefficients.
 
+Evaluation runs on integers as well: cleared to terms c_ij over L, p(x/q, y/q)
+is V / (L * q^d), V the integer sum of c_ij * x^i * y^j * q^(d-i-j) returned by
+`_int_eval`. Callers with many points clear once and build one Fraction each.
+
 Rational functions are unreduced quotients; equality is decided by
 cross-multiplication, never by computing a multivariate gcd.
 """
@@ -91,6 +95,25 @@ def _unpack(value: int, stride: int, width: int, slots: int) -> IntTerms | None:
         if c:
             out[divmod(t, stride)] = c
     return out
+
+
+def _integer_point(*coords: Fraction) -> Tuple[int, ...]:
+    """(q, q*c_1, q*c_2, ...) with q the least common denominator of the c_k."""
+    q = math.lcm(*(c.denominator for c in coords))
+    return (q, *(c.numerator * (q // c.denominator) for c in coords))
+
+
+def _int_eval(ints: IntTerms, degree: int, x: int, y: int, q: int) -> int:
+    """The sum of c * x^i * y^j * q^(degree - i - j): q^degree times the value at (x/q, y/q)."""
+    xs, ys, qs = [1], [1], [1]
+    for _ in range(degree):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+        qs.append(qs[-1] * q)
+    total = 0
+    for (i, j), c in ints.items():
+        total += c * xs[i] * ys[j] * qs[degree - i - j]
+    return total
 
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
@@ -291,17 +314,10 @@ class BivariatePoly:
 
     def evaluate(self, x0: RationalLike, y0: RationalLike) -> Fraction:
         """Exact value at a rational point."""
-        xv, yv = as_fraction(x0), as_fraction(y0)
-        xpow: dict[int, Fraction] = {0: Fraction(1)}
-        ypow: dict[int, Fraction] = {0: Fraction(1)}
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            if i not in xpow:
-                xpow[i] = xv**i
-            if j not in ypow:
-                ypow[j] = yv**j
-            total += c * xpow[i] * ypow[j]
-        return total
+        ints, scale = self._cleared()
+        degree = max(self.degree, 0)
+        q, x, y = _integer_point(as_fraction(x0), as_fraction(y0))
+        return Fraction(_int_eval(ints, degree, x, y, q), scale.denominator * q**degree)
 
     def leading_form(self) -> "BivariatePoly":
         """Homogeneous part of top degree; rejects the zero polynomial."""
@@ -435,9 +451,13 @@ class RationalFn:
         )
         return RationalFn(numerator, d * d * d)
 
-    def evaluate(self, x0: RationalLike, y0: RationalLike) -> Fraction:
-        """Exact value; raises ZeroDivisionError on a pole."""
-        return self.num.evaluate(x0, y0) / self.den.evaluate(x0, y0)
+    def _int_pair(self) -> Tuple[IntTerms, IntTerms, int]:
+        """Integers (num, den, d) with self(x/q, y/q) = _int_eval(num, d, x, y, q) /
+        _int_eval(den, d, x, y, q), the divisor having the sign of self.den(x/q, y/q)."""
+        (num, num_scale), (den, den_scale) = self.num._cleared(), self.den._cleared()
+        num = {e: c * den_scale.denominator for e, c in num.items()}
+        den = {e: c * num_scale.denominator for e, c in den.items()}
+        return num, den, max(self.num.degree, self.den.degree)
 
     def cancel_factor(self, factor: BivariatePoly) -> "RationalFn":
         """Divide numerator and denominator by a factor known to divide both."""

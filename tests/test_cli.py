@@ -181,13 +181,15 @@ REFERENCE_STDOUT_SHA256 = [
         ("positivity", "--poly", "w"),
         "58c94ba19a0cc81d0155542a8c08963af4af20ee5dc38dd5aa0650522345aa40",
     ),
+    # recorded with the Fraction evaluation loop, at the default resolution 101
+    (("sample", "--fn", "psi1"), "cb4b658dc2378456c53bb7eda3b98f2303230516155d3c41fe8f2bc65ee30a99"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     REFERENCE_STDOUT_SHA256,
-    ids=["sample-psi1", "sample-inv-x-poles", "positivity-w"],
+    ids=["sample-psi1", "sample-inv-x-poles", "positivity-w", "sample-psi1-default"],
 )
 def test_golden_stdout_on_reference_files(argv, digest, tmp_path, capsys):
     files = reference_files(tmp_path)
