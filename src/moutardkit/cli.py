@@ -91,7 +91,7 @@ def _load_seeds(path: str) -> construct.SeedPair:
             if "u0" in obj
             else RationalFn.zero()
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{path}: bad seeds file: {exc}") from exc
     return construct.SeedPair(u0, omega1, omega2)
 
@@ -102,7 +102,7 @@ def _load_rationalfn(path: str) -> RationalFn:
         if "num" in obj and "den" in obj and "terms" not in obj:
             return serialization.obj_to_rationalfn(obj)
         return RationalFn(serialization.obj_to_poly(obj))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{path}: bad function file: {exc}") from exc
 
 
@@ -154,7 +154,7 @@ def cmd_positivity(args) -> int:
     obj = _load_json(args.poly)
     try:
         w = serialization.obj_to_poly(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{args.poly}: bad polynomial file: {exc}") from exc
     outcome = global_positivity(w, args.max_depth)
     if isinstance(outcome, PositivityCertificate):

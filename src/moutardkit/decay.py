@@ -33,10 +33,6 @@ class DecayReport:
             "exact_on_generic_ray": self.exact_on_generic_ray,
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "DecayReport":
-        return cls(obj["exponent"], obj["bound_valid"], obj["exact_on_generic_ray"])
-
 
 def decay_exponent(f: RationalFn) -> DecayReport:
     """Report deg(den) - deg(num) and the validity of the uniform bound.

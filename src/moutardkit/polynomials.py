@@ -1,28 +1,32 @@
 """Exact arithmetic for bivariate polynomials and rational functions over Q.
 
-Coefficients are `fractions.Fraction` values (arbitrary precision, always
-normalized with positive denominator). Polynomials are sparse maps from
-exponent pairs ``(i, j)`` (powers of x and y) to nonzero coefficients.
-The canonical term order used everywhere (serialization, golden tests)
-is graded lexicographic: ascending total degree, ties broken by
-ascending x-exponent. A univariate polynomial is a y-free one (every
-exponent pair is (i, 0)), and a univariate rational function a y-free
-`RationalFn`, whose `laplacian` is then its second derivative.
+A polynomial is stored once, as integers over one denominator: a sparse
+map from exponent pairs ``(i, j)`` (powers of x and y) to nonzero `int`
+coefficients, and one positive `int` den with gcd(den, *coefficients) == 1.
+That pair is canonical, so equal polynomials have equal pairs. Every ring
+and calculus operation runs on the integers and reduces its result by one
+gcd; `fractions.Fraction` values are built only from user input and for
+output (`items`, `coefficient`, `evaluate`). The canonical term order used
+everywhere (serialization, golden tests) is graded lexicographic:
+ascending total degree, ties broken by ascending x-exponent. A univariate
+polynomial is a y-free one (every exponent pair is (i, 0)), and a
+univariate rational function a y-free `RationalFn`, whose `laplacian` is
+then its second derivative.
 
-Products and exact quotients run on integers by Kronecker substitution.
-Each operand is cleared to integer coefficients times 1/L, L the lcm of
-its denominators, and packed into one integer: term (i, j) becomes the
-signed slot i*S + j of width k bits, i.e. the polynomial is evaluated at
-x = 2^(k*S), y = 2^k. The stride S exceeds the y-degree of the result, and
-k is chosen so that every result coefficient fits in a slot, so one
-big-integer product or `divmod` does the work of the whole term loop.
-An exact quotient by a primitive integer divisor is integral (Gauss's
-lemma); it is unpacked, checked by multiplying back, and retried with
-wider slots up to the Mignotte bound on its coefficients.
+Products and exact quotients use Kronecker substitution on the stored
+integers: term (i, j) becomes the signed slot i*S + j of width k bits,
+i.e. the polynomial is evaluated at x = 2^(k*S), y = 2^k. The stride S
+exceeds the y-degree of the result, and k is chosen so that every result
+coefficient fits in a slot, so one big-integer product or `divmod` does
+the work of the whole term loop. An exact quotient by a primitive integer
+divisor is integral (Gauss's lemma); it is unpacked, checked by
+multiplying back, and retried with wider slots up to the Mignotte bound
+on its coefficients.
 
-Evaluation runs on integers as well: cleared to terms c_ij over L, p(x/q, y/q)
-is V / (L * q^d), V the integer sum of c_ij * x^i * y^j * q^(d-i-j) returned by
-`_int_eval`. Callers with many points clear once and build one Fraction each.
+Evaluation runs on integers as well: with stored terms c_ij over den,
+p(x/q, y/q) is V / (den * q^d), V the integer sum of c_ij * x^i * y^j *
+q^(d-i-j) returned by `_int_eval`. Callers with many points build one
+Fraction each.
 
 Rational functions are unreduced quotients; equality is decided by
 cross-multiplication, never by computing a multivariate gcd.
@@ -128,9 +132,11 @@ def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
 
 
 class BivariatePoly:
-    """An immutable bivariate polynomial with exact rational coefficients."""
+    """An immutable bivariate polynomial with exact rational coefficients,
+    stored as the canonical pair (ints, den): self = ints / den, with nonzero
+    integer coefficients in ints, den > 0 and gcd(den, *ints) == 1."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, terms: Mapping[Exponents, RationalLike] | None = None):
         clean: dict[Exponents, Fraction] = {}
@@ -141,30 +147,37 @@ class BivariatePoly:
                 c = as_fraction(coeff)
                 if c != 0:
                     clean[(i, j)] = c
-        self._terms = clean
+        # over the lcm of reduced denominators the pair is already canonical
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, terms: dict[Exponents, Fraction]) -> "BivariatePoly":
-        # internal: terms already canonical (no zeros, Fraction values)
+    def _raw(cls, ints: IntTerms, den: int) -> "BivariatePoly":
+        # internal: ints / den with nonzero ints and den > 0, reduced here
+        g = math.gcd(den, *ints.values())
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            den //= g
         obj = object.__new__(cls)
-        obj._terms = terms
+        obj._ints = ints
+        obj._den = den
         return obj
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
-        return cls._raw({})
+        return cls._raw({}, 1)
 
     @classmethod
     def constant(cls, value: RationalLike) -> "BivariatePoly":
-        c = as_fraction(value)
-        return cls._raw({(0, 0): c} if c else {})
+        return cls.monomial(0, 0, value)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: RationalLike = 1) -> "BivariatePoly":
         c = as_fraction(coeff)
         if i < 0 or j < 0:
             raise ValueError("negative exponent")
-        return cls._raw({(i, j): c} if c else {})
+        return cls._raw({(i, j): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variables(cls) -> Tuple["BivariatePoly", "BivariatePoly"]:
@@ -175,33 +188,33 @@ class BivariatePoly:
 
     def items(self) -> Iterator[Tuple[Exponents, Fraction]]:
         """Terms in canonical graded-lex order."""
-        for e in sorted(self._terms, key=term_sort_key):
-            yield e, self._terms[e]
+        for e in sorted(self._ints, key=term_sort_key):
+            yield e, Fraction(self._ints[e], self._den)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._ints.get((i, j), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._ints
 
     @property
     def degree(self):
         """Total degree; NEG_INFINITY for the zero polynomial."""
-        if not self._terms:
+        if not self._ints:
             return NEG_INFINITY
-        return max(i + j for i, j in self._terms)
+        return max(i + j for i, j in self._ints)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._ints == other._ints
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._ints)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._ints:
             return "0"
         parts = []
         for (i, j), c in self.items():
@@ -222,42 +235,30 @@ class BivariatePoly:
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        res = dict(self._terms)
-        for e, c in other._terms.items():
-            s = res.get(e, Fraction(0)) + c
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        res = {e: c * a for e, c in self._ints.items()}
+        for e, c in other._ints.items():
+            s = res.get(e, 0) + c * b
             if s:
                 res[e] = s
             elif e in res:
                 del res[e]
-        return BivariatePoly._raw(res)
+        return BivariatePoly._raw(res, den)
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly._raw({e: -c for e, c in self._terms.items()})
+        return BivariatePoly._raw({e: -c for e, c in self._ints.items()}, self._den)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         return self + (-other)
 
-    def _cleared(self) -> Tuple[IntTerms, Fraction]:
-        """Integer coefficients plus a global scale: self = scale * ints."""
-        denom_lcm = math.lcm(*(c.denominator for c in self._terms.values()))
-        ints = {
-            e: c.numerator * (denom_lcm // c.denominator)
-            for e, c in self._terms.items()
-        }
-        return ints, Fraction(1, denom_lcm)
-
     def __mul__(self, other) -> "BivariatePoly":
         if isinstance(other, BivariatePoly):
-            if not self._terms or not other._terms:
+            if not self._ints or not other._ints:
                 return BivariatePoly.zero()
-            a_ints, a_scale = self._cleared()
-            b_ints, b_scale = other._cleared()
-            den = a_scale.denominator * b_scale.denominator
-            return BivariatePoly._raw(
-                {e: Fraction(v, den) for e, v in _int_mul(a_ints, b_ints).items()}
-            )
+            return BivariatePoly._raw(_int_mul(self._ints, other._ints), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -268,7 +269,10 @@ class BivariatePoly:
         c = as_fraction(factor)
         if c == 0:
             return BivariatePoly.zero()
-        return BivariatePoly._raw({e: v * c for e, v in self._terms.items()})
+        num = c.numerator
+        return BivariatePoly._raw(
+            {e: v * num for e, v in self._ints.items()}, self._den * c.denominator
+        )
 
     def __pow__(self, exponent: int) -> "BivariatePoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -287,12 +291,12 @@ class BivariatePoly:
 
     def diff_x(self) -> "BivariatePoly":
         return BivariatePoly._raw(
-            {(i - 1, j): c * i for (i, j), c in self._terms.items() if i}
+            {(i - 1, j): c * i for (i, j), c in self._ints.items() if i}, self._den
         )
 
     def diff_y(self) -> "BivariatePoly":
         return BivariatePoly._raw(
-            {(i, j - 1): c * j for (i, j), c in self._terms.items() if j}
+            {(i, j - 1): c * j for (i, j), c in self._ints.items() if j}, self._den
         )
 
     def laplacian(self) -> "BivariatePoly":
@@ -300,40 +304,41 @@ class BivariatePoly:
 
     def integrate_x(self) -> "BivariatePoly":
         """Termwise antiderivative in x (no constant of integration)."""
+        m = math.lcm(*(i + 1 for i, _ in self._ints))
         return BivariatePoly._raw(
-            {(i + 1, j): c / (i + 1) for (i, j), c in self._terms.items()}
+            {(i + 1, j): c * (m // (i + 1)) for (i, j), c in self._ints.items()}, self._den * m
         )
 
     def integrate_y(self) -> "BivariatePoly":
         """Termwise antiderivative in y (no constant of integration)."""
+        m = math.lcm(*(j + 1 for _, j in self._ints))
         return BivariatePoly._raw(
-            {(i, j + 1): c / (j + 1) for (i, j), c in self._terms.items()}
+            {(i, j + 1): c * (m // (j + 1)) for (i, j), c in self._ints.items()}, self._den * m
         )
 
     # -- evaluation and structure -------------------------------------------
 
     def evaluate(self, x0: RationalLike, y0: RationalLike) -> Fraction:
         """Exact value at a rational point."""
-        ints, scale = self._cleared()
         degree = max(self.degree, 0)
         q, x, y = _integer_point(as_fraction(x0), as_fraction(y0))
-        return Fraction(_int_eval(ints, degree, x, y, q), scale.denominator * q**degree)
+        return Fraction(_int_eval(self._ints, degree, x, y, q), self._den * q**degree)
 
     def leading_form(self) -> "BivariatePoly":
         """Homogeneous part of top degree; rejects the zero polynomial."""
-        if not self._terms:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading form")
         d = self.degree
         return BivariatePoly._raw(
-            {e: c for e, c in self._terms.items() if e[0] + e[1] == d}
+            {e: c for e, c in self._ints.items() if e[0] + e[1] == d}, self._den
         )
 
     def is_homogeneous(self) -> bool:
-        degrees = {i + j for i, j in self._terms}
+        degrees = {i + j for i, j in self._ints}
         return len(degrees) <= 1
 
     def coefficient_abs_sum(self) -> Fraction:
-        return sum((abs(c) for c in self._terms.values()), Fraction(0))
+        return Fraction(sum(map(abs, self._ints.values())), self._den)
 
     def div_exact(self, divisor: "BivariatePoly") -> "BivariatePoly":
         """Exact polynomial quotient self / divisor.
@@ -345,12 +350,11 @@ class BivariatePoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return self
-        a, a_scale = self._cleared()
-        b, b_scale = divisor._cleared()
+        a, b = self._ints, divisor._ints
         content = math.gcd(*b.values())
         b = {e: c // content for e, c in b.items()}
         # self / divisor = (a / b) * num / den, and a / b is integral (Gauss)
-        num, den = b_scale.denominator, a_scale.denominator * content
+        num, den = divisor._den, self._den * content
         stride = max(j for _, j in a) + 1
         if max(j for _, j in b) >= stride:
             raise ExactDivisionError("divisor has the higher y-degree")
@@ -368,7 +372,7 @@ class BivariatePoly:
                 raise ExactDivisionError("nonzero remainder")
             q = _unpack(packed_q, stride, width, slots)
             if q is not None and _int_mul(q, b) == a:
-                return BivariatePoly._raw({e: Fraction(c * num, den) for e, c in q.items()})
+                return BivariatePoly._raw({e: c * num for e, c in q.items()}, den)
             if width >= widest:
                 raise ExactDivisionError("no integral quotient within the Mignotte bound")
             width = min(2 * width, widest)
@@ -454,9 +458,8 @@ class RationalFn:
     def _int_pair(self) -> Tuple[IntTerms, IntTerms, int]:
         """Integers (num, den, d) with self(x/q, y/q) = _int_eval(num, d, x, y, q) /
         _int_eval(den, d, x, y, q), the divisor having the sign of self.den(x/q, y/q)."""
-        (num, num_scale), (den, den_scale) = self.num._cleared(), self.den._cleared()
-        num = {e: c * den_scale.denominator for e, c in num.items()}
-        den = {e: c * num_scale.denominator for e, c in den.items()}
+        num = {e: c * self.den._den for e, c in self.num._ints.items()}
+        den = {e: c * self.num._den for e, c in self.den._ints.items()}
         return num, den, max(self.num.degree, self.den.degree)
 
     def cancel_factor(self, factor: BivariatePoly) -> "RationalFn":

@@ -179,8 +179,7 @@ class _BoxBounder:
     """
 
     def __init__(self, w: BivariatePoly):
-        ints, scale = w._cleared()
-        self.denominator = scale.denominator  # w = ints / denominator
+        ints, self.denominator = w._ints, w._den  # w = ints / denominator
         self.degree = d = int(w.degree)
         # row i holds the coefficients of x^i y^j for j <= d - i
         self.grid = [[0] * (d - i + 1) for i in range(d + 1)]

@@ -24,7 +24,10 @@ def fraction_to_obj(value: Fraction) -> dict:
 
 
 def obj_to_fraction(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    num, den = obj["num"], obj["den"]
+    if not (isinstance(num, (int, str)) and isinstance(den, (int, str))):
+        raise TypeError(f"expected integer strings, got {num!r} / {den!r}")
+    return Fraction(int(num), int(den))
 
 
 def poly_to_obj(p: BivariatePoly) -> dict:
@@ -38,11 +41,14 @@ def poly_to_obj(p: BivariatePoly) -> dict:
 
 
 def obj_to_poly(obj: dict) -> BivariatePoly:
-    if obj.get("vars") != ["x", "y"]:
-        raise ValueError(f"expected bivariate polynomial, got vars={obj.get('vars')!r}")
+    if not isinstance(obj, dict) or obj.get("vars") != ["x", "y"]:
+        raise ValueError(f"expected a bivariate polynomial, got {obj!r:.60}")
     terms = {}
     for t in obj["terms"]:
-        terms[(t["i"], t["j"])] = Fraction(int(t["num"]), int(t["den"]))
+        exponents = (t["i"], t["j"])
+        if exponents in terms:
+            raise ValueError(f"repeated term x^{t['i']} y^{t['j']}")
+        terms[exponents] = obj_to_fraction(t)
     return BivariatePoly(terms)
 
 
@@ -64,17 +70,5 @@ def poly1d_to_obj(p: BivariatePoly) -> dict:
     return {"vars": ["x"], "terms": terms}
 
 
-def obj_to_poly1d(obj: dict) -> BivariatePoly:
-    if obj.get("vars") != ["x"]:
-        raise ValueError(f"expected univariate polynomial, got vars={obj.get('vars')!r}")
-    return BivariatePoly(
-        {(t["i"], 0): Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]}
-    )
-
-
 def rationalfn1d_to_obj(f: RationalFn) -> dict:
     return {"num": poly1d_to_obj(f.num), "den": poly1d_to_obj(f.den)}
-
-
-def obj_to_rationalfn1d(obj: dict) -> RationalFn:
-    return RationalFn(obj_to_poly1d(obj["num"]), obj_to_poly1d(obj["den"]))

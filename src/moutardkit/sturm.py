@@ -1,14 +1,15 @@
 """Sturm chains and exact real-root counting for univariate polynomials.
 
 A univariate polynomial is a y-free `BivariatePoly` (every term (i, 0)).
-It is cleared to integers once, and the chain is kept as dense lists of
-primitive integer coefficients in ascending powers: each remainder is an
-integer pseudo-remainder whose sign is corrected so that it is a positive
-multiple of -rem(...). Roots are counted on the whole real line, which is
-all that positivity on the unit circle needs: the sign of a chain member
-at -infinity or +infinity is the sign of its leading coefficient, times
-(-1)^degree at -infinity. Positive scaling never changes a sign count, so
-no `Fraction` is needed after the input is cleared.
+Its stored integer coefficients, a positive multiple of it, seed the
+chain, which is kept as dense lists of primitive integer coefficients in
+ascending powers: each remainder is an integer pseudo-remainder whose
+sign is corrected so that it is a positive multiple of -rem(...). Roots
+are counted on the whole real line, which is all that positivity on the
+unit circle needs: the sign of a chain member at -infinity or +infinity
+is the sign of its leading coefficient, times (-1)^degree at -infinity.
+Positive scaling never changes a sign count, so no `Fraction` is needed
+anywhere.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def sturm_chain(p: BivariatePoly) -> list[Dense]:
     """
     if p.is_zero:
         raise ValueError("Sturm chain of the zero polynomial")
-    ints, _ = p._cleared()
+    ints = p._ints  # a positive multiple of p
     if any(j for _, j in ints):
         raise ValueError("Sturm chains need a polynomial in x alone")
     dense = [0] * (max(i for i, _ in ints) + 1)

@@ -1,13 +1,18 @@
 """Command-line front end: exit statuses and golden stdout hashes."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moutardkit import cli, gallery, serialization
 from moutardkit.polynomials import BivariatePoly, RationalFn
@@ -45,15 +50,18 @@ def run(*argv):
         return exc.code
 
 
-def write_poly(path, terms):
-    obj = {
+def poly_obj(terms):
+    return {
         "vars": ["x", "y"],
         "terms": [
             {"i": i, "j": j, "num": str(num), "den": str(den)}
             for (i, j), (num, den) in terms.items()
         ],
     }
-    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def write_poly(path, terms):
+    path.write_text(json.dumps(poly_obj(terms)), encoding="utf-8")
     return str(path)
 
 
@@ -197,3 +205,134 @@ def test_golden_stdout_on_reference_files(argv, digest, tmp_path, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
     assert ("warning: 3 grid points hit a pole" in captured.err) == ("inv_x" in argv)
+
+
+ONE_OBJ = poly_obj({(0, 0): (1, 1)})
+ZERO_DEN_POLY = poly_obj({(2, 0): (1, 0)})
+EMPTY_DEN_FN = {"num": ONE_OBJ, "den": {"vars": ["x", "y"], "terms": []}}
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (("positivity", "--poly", "a"), {"a": ZERO_DEN_POLY}),
+        (("transform", "--seeds", "a", "--constant", "1"), {"a": {"omega1": ZERO_DEN_POLY, "omega2": ONE_OBJ}}),
+        (
+            ("transform", "--seeds", "a", "--constant", "1"),
+            {"a": {"omega1": ONE_OBJ, "omega2": ONE_OBJ, "u0": EMPTY_DEN_FN}},
+        ),
+        (("verify", "--potential", "a", "--solution", "b"), {"a": ZERO_DEN_POLY, "b": ONE_OBJ}),
+        (("verify", "--potential", "a", "--solution", "b"), {"a": ONE_OBJ, "b": EMPTY_DEN_FN}),
+        (("sample", "--fn", "a"), {"a": ZERO_DEN_POLY}),
+        (("sample", "--fn", "a"), {"a": EMPTY_DEN_FN}),
+    ],
+    ids=[
+        "positivity-zero-den-term",
+        "transform-zero-den-term",
+        "transform-empty-den-poly",
+        "verify-zero-den-term",
+        "verify-empty-den-poly",
+        "sample-zero-den-term",
+        "sample-empty-den-poly",
+    ],
+)
+def test_exit_usage_on_zero_denominator(argv, files, tmp_path, capsys):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    assert run(*(str(tmp_path / arg) if arg in files else arg for arg in argv)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad" in captured.err
+
+
+def test_exit_usage_on_repeated_term(tmp_path, capsys):
+    # -1 + x^2 + y^2 + 1 is zero at the origin; read as x^2 + y^2 + 1 it would certify
+    obj = poly_obj({(0, 0): (-1, 1), (2, 0): (1, 1), (0, 2): (1, 1)})
+    obj["terms"].append({"i": 0, "j": 0, "num": "1", "den": "1"})
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps(obj), encoding="utf-8")
+    assert run("positivity", "--poly", str(poly)) == cli.EXIT_USAGE
+    assert "repeated term x^0 y^0" in capsys.readouterr().err
+
+
+# valid input files built from example 1, and commands that read them; the
+# fuzz test below mutates the first file named by each command
+FUZZ_REF = gallery.get_example(1)
+FUZZ_FILES = {
+    "w": serialization.poly_to_obj(FUZZ_REF.reference.w_poly),
+    "seeds": {
+        "omega1": serialization.poly_to_obj(FUZZ_REF.seeds.omega1),
+        "omega2": serialization.poly_to_obj(FUZZ_REF.seeds.omega2),
+        "u0": serialization.rationalfn_to_obj(FUZZ_REF.seeds.u0),
+    },
+    "u": serialization.rationalfn_to_obj(FUZZ_REF.reference.u),
+    "psi": serialization.rationalfn_to_obj(FUZZ_REF.reference.psi1),
+}
+FUZZ_COMMANDS = [
+    ("w", ("positivity", "--poly", "w", "--max-depth", "6")),
+    ("seeds", ("transform", "--seeds", "seeds", "--constant", "160")),
+    ("u", ("verify", "--potential", "u", "--solution", "psi")),
+    ("psi", ("verify", "--potential", "u", "--solution", "psi")),
+    ("psi", ("sample", "--fn", "psi", "--resolution", "3")),
+]
+
+
+def _nodes(obj):
+    """Every dict inside a JSON value, outermost first."""
+    if isinstance(obj, dict):
+        yield obj
+        children = obj.values()
+    elif isinstance(obj, list):
+        children = obj
+    else:
+        return
+    for child in children:
+        yield from _nodes(child)
+
+
+def _mutate(obj, kind, draw):
+    """Apply one input-boundary mutation of `kind` to obj in place."""
+    nodes = [n for n in _nodes(obj) if n]
+    polys = [n for n in nodes if isinstance(n.get("terms"), list)]
+    terms = [n for n in nodes if "num" in n and not isinstance(n["num"], dict)]
+    if kind == "drop-key" and nodes:
+        node = draw(st.sampled_from(nodes))
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif kind == "zero-den" and terms:
+        draw(st.sampled_from(terms))["den"] = "0"
+    elif kind == "repeat-term" and terms:
+        poly = draw(st.sampled_from([p for p in polys if p["terms"]]))
+        poly["terms"].append(dict(draw(st.sampled_from(poly["terms"])), num="7"))
+    elif kind == "bad-exponent" and terms:
+        term = draw(st.sampled_from(terms))
+        term[draw(st.sampled_from(["i", "j"]))] = draw(st.sampled_from([-1, 1.5, "1", None, [0]]))
+    elif kind == "bad-number" and terms:
+        term = draw(st.sampled_from(terms))
+        term[draw(st.sampled_from(["num", "den"]))] = draw(st.sampled_from(["1/2", "x", 1.5, None]))
+    elif kind == "wrong-vars" and polys:
+        draw(st.sampled_from(polys))["vars"] = draw(st.sampled_from([["x"], ["y", "x"], "xy", None]))
+    elif kind == "empty-terms" and polys:
+        draw(st.sampled_from(polys))["terms"] = []
+
+
+MUTATIONS = ["drop-key", "zero-den", "repeat-term", "bad-exponent", "bad-number", "wrong-vars", "empty-terms"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3), st.data())
+def test_fuzzed_input_files_never_crash(command, kinds, data):
+    target, argv = command
+    files = copy.deepcopy(FUZZ_FILES)
+    for kind in kinds:
+        _mutate(files[target], kind, data.draw)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            Path(tmp, name).write_text(json.dumps(obj), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main([str(Path(tmp, arg)) if arg in files else arg for arg in argv])
+    assert status in (cli.EXIT_OK, cli.EXIT_FALSE, cli.EXIT_USAGE, cli.EXIT_INCONCLUSIVE)
+    if status == cli.EXIT_FALSE:
+        assert isinstance(json.loads(out.getvalue()), dict)
+    if status == cli.EXIT_USAGE:
+        assert out.getvalue() == ""

@@ -44,10 +44,6 @@ class TestDecayExponent:
         assert report.exponent == 2
         assert not report.exact_on_generic_ray
 
-    def test_report_roundtrip(self):
-        report = decay_exponent(REF.u)
-        assert DecayReport.from_obj(report.to_obj()) == report
-
 
 class TestL2Membership:
     def test_reference_kernel_functions(self):

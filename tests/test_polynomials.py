@@ -1,5 +1,6 @@
 """Core exact-arithmetic tests: ring operations, calculus, rational functions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,59 @@ def test_rf_equality_is_equivalence(p, q, r):
     assert a.equals(a)
     assert a.equals(b) and b.equals(a)
     assert b.equals(c) and a.equals(c)
+
+
+# -- the stored form: nonzero ints over one den > 0, gcd(den, *ints) == 1 ------
+
+rational_coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+rational_terms = st.dictionaries(st.tuples(exponent, exponent), rational_coeff, max_size=6)
+
+
+def assert_stored_form(p: BivariatePoly, reference: dict) -> None:
+    """p is canonical and equals the Fraction-dict reference term for term."""
+    assert isinstance(p._den, int) and p._den > 0
+    assert all(isinstance(c, int) and c != 0 for c in p._ints.values())
+    assert math.gcd(p._den, *p._ints.values()) == 1
+    assert dict(p.items()) == {e: c for e, c in reference.items() if c}
+    assert BivariatePoly(dict(p.items())) == p
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + c * d
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_terms, rational_terms, rational_coeff, points)
+def test_every_operation_keeps_the_stored_form(ta, tb, factor, pt):
+    a, b = BivariatePoly(ta), BivariatePoly(tb)
+    ra, rb = dict(a.items()), dict(b.items())
+    assert ra == {e: c for e, c in ta.items() if c}
+    assert_stored_form(a, ta)
+    assert_stored_form(a + b, ref_add(ra, rb))
+    assert_stored_form(a - b, ref_add(ra, {e: -c for e, c in rb.items()}))
+    assert_stored_form(-a, {e: -c for e, c in ra.items()})
+    assert_stored_form(a * b, ref_mul(ra, rb))
+    assert_stored_form(a.scale(factor), {e: c * factor for e, c in ra.items()})
+    assert_stored_form(a.diff_x(), {(i - 1, j): c * i for (i, j), c in ra.items() if i})
+    assert_stored_form(a.diff_y(), {(i, j - 1): c * j for (i, j), c in ra.items() if j})
+    assert_stored_form(a.integrate_x(), {(i + 1, j): c / (i + 1) for (i, j), c in ra.items()})
+    assert_stored_form(a.integrate_y(), {(i, j + 1): c / (j + 1) for (i, j), c in ra.items()})
+    assert a.coefficient_abs_sum() == sum(map(abs, ra.values()))
+    x0, y0 = pt
+    assert a.evaluate(x0, y0) == sum(c * x0**i * y0**j for (i, j), c in ra.items())
+    if not a.is_zero:
+        d = a.degree
+        assert_stored_form(a.leading_form(), {e: c for e, c in ra.items() if sum(e) == d})
+    if not b.is_zero:
+        assert_stored_form((a * b).div_exact(b), ra)

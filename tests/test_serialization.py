@@ -36,6 +36,8 @@ def test_poly_terms_serialized_in_canonical_order():
 def test_poly_rejects_wrong_vars():
     with pytest.raises(ValueError):
         ser.obj_to_poly({"vars": ["x"], "terms": []})
+    with pytest.raises(ValueError):
+        ser.obj_to_poly([{"vars": ["x", "y"], "terms": []}])
 
 
 def test_rationalfn_roundtrip():
@@ -53,17 +55,36 @@ def test_fraction_roundtrip():
         assert ser.obj_to_fraction(obj) == value
 
 
-def test_poly1d_roundtrip():
+@pytest.mark.parametrize("num,den", [(1.5, "1"), ("1", 2.0), (None, "1")])
+def test_fraction_rejects_non_integers(num, den):
+    # int(1.5) would silently read 1
+    with pytest.raises(TypeError):
+        ser.obj_to_fraction({"num": num, "den": den})
+
+
+def test_poly_rejects_repeated_terms():
+    # -1 + x^2 + y^2 + 1 vanishes at the origin; keeping only the last
+    # constant term would read it as the positive x^2 + y^2 + 1
+    terms = [
+        {"i": 0, "j": 0, "num": "-1", "den": "1"},
+        {"i": 2, "j": 0, "num": "1", "den": "1"},
+        {"i": 0, "j": 2, "num": "1", "den": "1"},
+        {"i": 0, "j": 0, "num": "1", "den": "1"},
+    ]
+    with pytest.raises(ValueError, match="repeated term"):
+        ser.obj_to_poly({"vars": ["x", "y"], "terms": terms})
+
+
+def test_poly_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        ser.obj_to_poly({"vars": ["x", "y"], "terms": [{"i": 2, "j": 0, "num": "1", "den": "0"}]})
+
+
+def test_poly1d_rejects_y_terms():
     p = BivariatePoly({(0, 0): Fraction(2), (5, 0): Fraction(-7, 3)})
-    obj = ser.poly1d_to_obj(p)
-    assert ser.obj_to_poly1d(obj) == p
-    assert obj["vars"] == ["x"]
+    assert ser.poly1d_to_obj(p) == {
+        "vars": ["x"],
+        "terms": [{"i": 0, "num": "2", "den": "1"}, {"i": 5, "num": "-7", "den": "3"}],
+    }
     with pytest.raises(ValueError):
         ser.poly1d_to_obj(p + BivariatePoly.monomial(0, 1))
-
-
-def test_rationalfn1d_roundtrip():
-    f = RationalFn(BivariatePoly.constant(6), BivariatePoly.monomial(2, 0))
-    text = ser.dumps(ser.rationalfn1d_to_obj(f))
-    assert ser.obj_to_rationalfn1d(json.loads(text)) == f
-
