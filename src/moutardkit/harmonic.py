@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Literal, Tuple
+from typing import Tuple
 
 from .moutard import ClosedOneForm, integrate_closed
-from .polynomials import BivariatePoly, RationalLike, as_fraction
-
-Part = Literal["re", "im"]
+from .polynomials import BivariatePoly
 
 
 def harmonic_basis(n: int) -> Tuple[BivariatePoly, BivariatePoly]:
@@ -41,36 +38,9 @@ def is_harmonic(p: BivariatePoly) -> bool:
 
 @dataclass(frozen=True)
 class HarmonicCombo:
-    """A rational combination of Re/Im(z^n) basis elements."""
+    """The polynomial realized by an integer combination of Re/Im(z^n)."""
 
-    coefficients: Dict[Tuple[int, Part], Fraction]
     realized: BivariatePoly
-
-    @classmethod
-    def from_coefficients(
-        cls, coefficients: Dict[Tuple[int, Part], RationalLike]
-    ) -> "HarmonicCombo":
-        clean: Dict[Tuple[int, Part], Fraction] = {}
-        total = BivariatePoly.zero()
-        basis_cache: Dict[int, Tuple[BivariatePoly, BivariatePoly]] = {}
-        for (n, part), coeff in sorted(coefficients.items()):
-            c = as_fraction(coeff)
-            if c == 0:
-                continue
-            if part not in ("re", "im"):
-                raise ValueError(f"part must be 're' or 'im', got {part!r}")
-            if n == 0:
-                # constants are harmonic; carried as the (0, "re") entry
-                if part != "re":
-                    raise ValueError("a constant term must use part 're'")
-                total = total + BivariatePoly.constant(c)
-            else:
-                if n not in basis_cache:
-                    basis_cache[n] = harmonic_basis(n)
-                re, im = basis_cache[n]
-                total = total + (re if part == "re" else im).scale(c)
-            clean[(n, part)] = c
-        return cls(clean, total)
 
 
 def conjugate(u: BivariatePoly) -> BivariatePoly:
@@ -99,13 +69,12 @@ def random_combo(
     if coefficient_bound < 1:
         raise ValueError("coefficient_bound must be >= 1")
     gen = rng if rng is not None else random.Random(rng_seed)
+    parts = [part for n in range(1, max_degree + 1) for part in harmonic_basis(n)]
     while True:
-        coeffs: Dict[Tuple[int, Part], int] = {}
-        for n in range(1, max_degree + 1):
-            for part in ("re", "im"):
-                c = gen.randint(-coefficient_bound, coefficient_bound)
-                if c:
-                    coeffs[(n, part)] = c
-        combo = HarmonicCombo.from_coefficients(coeffs)
-        if not combo.realized.is_zero:
-            return combo
+        total = BivariatePoly.zero()
+        for part in parts:  # Re(z^n), then Im(z^n), for n = 1..max_degree
+            c = gen.randint(-coefficient_bound, coefficient_bound)
+            if c:
+                total = total + part.scale(c)
+        if not total.is_zero:
+            return HarmonicCombo(total)

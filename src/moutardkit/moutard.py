@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolated, NotClosed, NotCoKernel, SeedNotInKernel, ZeroSeed
-from .polynomials import BivariatePoly, RationalFn, RationalLike
+from .polynomials import BivariatePoly, RationalFn
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class TransformFamily:
         )
         if not exact:
             raise NotClosed("antiderivative does not reproduce the 1-form")
-
-    def solution(self, constant: RationalLike) -> RationalFn:
-        """The family member (F + C)/omega for a chosen constant C."""
-        shifted = self.antiderivative + BivariatePoly.constant(constant)
-        return RationalFn(shifted, self.omega)
 
 
 def kernel_residual(u: RationalFn, seed: BivariatePoly) -> BivariatePoly:

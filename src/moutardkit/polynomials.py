@@ -142,7 +142,8 @@ class BivariatePoly:
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for (i, j), coeff in terms.items():
-                if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                # type() rejects bool, which isinstance would accept as an int
+                if not (type(i) is int and type(j) is int and i >= 0 and j >= 0):
                     raise ValueError(f"bad exponent pair {(i, j)!r}")
                 c = as_fraction(coeff)
                 if c != 0:

@@ -6,14 +6,15 @@ dominance radius comes from a coefficient-sum tail bound, and the inside
 of the disk is covered by branch-and-bound with centered-form interval
 bounds. The branch-and-bound runs on integers: boxes are dyadic cells of
 the root square and their bounds integers on a common scale, so
-`Fraction`s are built only for the cells and points it reports. One box
-tree memoizes the bounds per box of G = w - w(0,0) and decides G + k for
-any constant k by integer comparisons; `global_positivity(w)` is its
-traversal at offset k = w(0,0). `box_tree` keeps the last tree in a
-one-entry memo keyed by (G, depth limit), so the constant search of
-`search` and its closing `global_positivity(F + C)` bound each box of a
-trial once. `Inconclusive` is an explicit outcome, never treated as
-positive.
+`Fraction`s are built only for the cells and points it reports.
+
+One box tree memoizes the bounds per box of G = w - w(0,0) and decides
+G + k for any constant k by integer comparisons; `global_positivity(w)`
+is its traversal at offset k = w(0,0). `box_tree` keeps the last tree in
+a one-entry memo keyed by (G, depth limit). The constant search of
+`search` probes F + c on that tree, and the one certification of the
+emitted W = F + C has the same G, so it bounds no box again.
+`Inconclusive` is an explicit outcome, never treated as positive.
 """
 
 from __future__ import annotations
@@ -163,35 +164,58 @@ def leading_dominance(p: BivariatePoly) -> Tuple[Fraction, Fraction, int]:
     return bound, lower_sum, int(p.degree)
 
 
-class _BoxBounder:
-    """Centered-form bounds for one polynomial over dyadic boxes, in integers.
+class _BoxTree:
+    """The branch-and-bound boxes of one polynomial f, each bounded once.
 
-    The polynomial is cleared once to integer coefficients over one common
-    denominator D. A box is given by its center (px/2^s, qy/2^s) and
-    half-widths (hx/2^s, hy/2^s), all integers over the same power of two.
-    Its Taylor coefficients b_ij at the center, scaled by 2^(s*(d-i-j)),
-    are integers obtained by integer Horner shifts, so on the common scale
-    D * 2^(s*d) both the center value and the spread
+    The leading form handles everything outside f's integer cutoff radius
+    R; the square [-R, R]^2 is covered by bisection. A box at depth k is
+    column i, row j of the square after s = ceil(k/2) x-splits and
+    floor(k/2) y-splits: bisecting the wider side, x on ties, alternates x
+    and y from a square.
 
-        sum |b_ij| * hx^i * hy^j     over (i, j) != (0, 0)
+    Bounds are integers. f is cleared once to integer coefficients over
+    one common denominator D, and a box's centre and half-widths (R, hy)
+    are integers over 2^s. Its Taylor coefficients b_ij at the centre, scaled
+    by 2^(s*(d-i-j)), come from integer Horner shifts, so on the common
+    scale D * 2^(s*d) both the centre value and the spread
 
-    are integers; center - spread is the centered-form lower bound.
+        sum |b_ij| * R^i * hy^j     over (i, j) != (0, 0)
+
+    are integers; centre - spread is the centred-form lower bound. On
+    every box the bounds of f + k are f's plus k, so `traverse` decides any
+    constant offset k from f's memoized (centre, spread).
     """
 
-    def __init__(self, w: BivariatePoly):
-        ints, self.denominator = w._ints, w._den  # w = ints / denominator
-        self.degree = d = int(w.degree)
+    def __init__(self, f: BivariatePoly, depth_limit: int):
+        self.poly = f
+        self.bound, lower_sum, _ = leading_dominance(f)
+        self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
+        self.depth_limit = depth_limit
+        self.denominator = f._den  # f = f._ints / denominator
+        self.degree = d = int(f.degree)
         # row i holds the coefficients of x^i y^j for j <= d - i
         self.grid = [[0] * (d - i + 1) for i in range(d + 1)]
-        for (i, j), c in ints.items():
+        for (i, j), c in f._ints.items():
             self.grid[i][j] = c
         self.scaled: dict = {}  # s -> grid pre-scaled for that s
+        self.boxes: dict = {}  # (column, row, depth) -> (center, spread)
 
-    def bounds(self, px: int, qy: int, hx: int, hy: int, s: int) -> Tuple[int, int]:
-        """(center, spread) of the polynomial on the box, both scaled by
-        D * 2^(s*d): the center value and the lower bound are center and
+    def geometry(self, i: int, j: int, depth: int) -> Tuple[int, int, int, int]:
+        """(s, px, qy, hy): in units of 1/2^s, s = ceil(depth/2) x-splits,
+        the box has centre (px, qy) and half-widths (R, hy); y-splits lag
+        by depth % 2."""
+        s, odd = (depth + 1) // 2, depth % 2
+        r = self.radius
+        px = r * (2 * i + 1 - (1 << s))
+        qy = r * (2 * j + 1 - (1 << (s - odd))) << odd
+        return s, px, qy, r << odd
+
+    def bounds(self, i: int, j: int, depth: int) -> Tuple[int, int]:
+        """(center, spread) of f on the box, both scaled by D * 2^(s*d):
+        the center value and the lower bound are center and
         center - spread over D * 2^(s*d)."""
-        d = self.degree
+        s, px, qy, hy = self.geometry(i, j, depth)
+        d, r = self.degree, self.radius
         scaled = self.scaled.get(s)
         if scaled is None:
             # pre-scale entry (i, j) by 2^(s*(d-i-j)) so integer shifts by
@@ -212,59 +236,30 @@ class _BoxBounder:
                 for k in range(len(row) - 1):
                     for j in range(len(row) - 2, k - 1, -1):
                         row[j] += qy * row[j + 1]
-        hx_pow = [1]
+        r_pow = [1]
         hy_pow = [1]
         for _ in range(d):
-            hx_pow.append(hx_pow[-1] * hx)
+            r_pow.append(r_pow[-1] * r)
             hy_pow.append(hy_pow[-1] * hy)
         spread = 0
         for i, row in enumerate(grid):
             for j in range(0 if i else 1, len(row)):
-                spread += abs(row[j]) * hx_pow[i] * hy_pow[j]
+                spread += abs(row[j]) * r_pow[i] * hy_pow[j]
         return grid[0][0], spread
 
-
-class _BoxTree:
-    """The branch-and-bound boxes of one polynomial f, each bounded once.
-
-    The leading form handles everything outside f's integer cutoff radius
-    R; the square [-R, R]^2 is covered by bisection. A box at depth k is
-    column i, row j of the square after ceil(k/2) x-splits and floor(k/2)
-    y-splits: bisecting the wider side, x on ties, alternates x and y from
-    a square. On every box the bounds of f + a/b are f's plus a/b, so
-    `traverse` decides any offset from f's memoized (center, spread).
-    """
-
-    def __init__(self, f: BivariatePoly, depth_limit: int):
-        self.poly = f
-        self.bound, lower_sum, _ = leading_dominance(f)
-        self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
-        self.depth_limit = depth_limit
-        self.bounder = _BoxBounder(f)
-        self.boxes: dict = {}  # (column, row, depth) -> (center, spread)
-
-    def geometry(self, i: int, j: int, depth: int) -> Tuple[int, int, int, int]:
-        """(s, px, qy, hy): in units of 1/2^s, s = ceil(depth/2) x-splits,
-        the box has centre (px, qy) and half-widths (R, hy); y-splits lag
-        by depth % 2."""
-        s, odd = (depth + 1) // 2, depth % 2
-        r = self.radius
-        px = r * (2 * i + 1 - (1 << s))
-        qy = r * (2 * j + 1 - (1 << (s - odd))) << odd
-        return s, px, qy, r << odd
-
     def traverse(
-        self, a: int, b: int
+        self, offset: Fraction
     ) -> Union[List[Tuple[int, int, int, int]], PositivityRefutation]:
-        """Branch-and-bound for f + a/b, b > 0, in a fixed depth-first order.
+        """Branch-and-bound for f + offset in a fixed depth-first order.
 
         Returns the certified cells as (column, row, depth, lower), lower
-        being the cell's lower bound over b * D * 2^(s*d), or a refutation
-        at the first box centre where f + a/b <= 0. Raises Inconclusive
-        past the depth limit.
+        being the cell's lower bound over b * D * 2^(s*d) with b the
+        offset's denominator, or a refutation at the first box centre where
+        f + offset <= 0. Raises Inconclusive past the depth limit.
         """
-        bounder, boxes = self.bounder, self.boxes
-        offset, d = a * bounder.denominator, bounder.degree
+        boxes, d = self.boxes, self.degree
+        b = offset.denominator
+        shift = offset.numerator * self.denominator
         cells = []
         stack = [(0, 0, 0)]
         while stack:
@@ -273,13 +268,12 @@ class _BoxTree:
             s = (depth + 1) // 2
             known = boxes.get(box)
             if known is None:
-                _, px, qy, hy = self.geometry(i, j, depth)
-                known = boxes[box] = bounder.bounds(px, qy, self.radius, hy, s)
-            center = known[0] * b + (offset << s * d)
+                known = boxes[box] = self.bounds(i, j, depth)
+            center = known[0] * b + (shift << s * d)
             if center <= 0:
                 _, px, qy, _ = self.geometry(i, j, depth)
                 point = (Fraction(px, 1 << s), Fraction(qy, 1 << s))
-                scale = b * bounder.denominator << s * d
+                scale = b * self.denominator << s * d
                 return PositivityRefutation(point, Fraction(center, scale))
             spread = known[1] * b
             if center > spread:
@@ -338,15 +332,15 @@ def global_positivity(
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
     tree, w0 = box_tree(w, max_depth)
-    outcome = tree.traverse(w0.numerator, w0.denominator)
+    outcome = tree.traverse(w0)
     if isinstance(outcome, PositivityRefutation):
         return outcome
     # sort on the integer corners over the common 2^top, then build each
     # cell's Fractions once
     max_depth_used = max(depth for _, _, depth, _ in outcome)
     top = (max_depth_used + 1) // 2
-    radius, d = tree.radius, tree.bounder.degree
-    scale = w0.denominator * tree.bounder.denominator
+    radius, d = tree.radius, tree.degree
+    scale = w0.denominator * tree.denominator
     keyed = []
     for i, j, depth, lower in outcome:
         s, px, qy, hy = tree.geometry(i, j, depth)

@@ -5,13 +5,15 @@ A sweep measures how fast the constructed potentials and kernel functions
 decay as the seed degree grows; it only ever records what was certified,
 it never extrapolates.
 
-Each trial certifies W = F + C once: `min_positive_constant` runs its
-doubling and bisection probes on `positivity.box_tree(F)`, the memoized
-box tree of F - F(0,0), and hands on `global_positivity(F + C)` with C.
-That call gets the same tree from `box_tree`'s one-entry memo and
-re-walks boxes the probes already bounded, so each box of a trial is
-bounded once. Sweeps and examples read the L2 flags of psi_i =
-+-omega_i/W off that certificate in `_certified_trial`.
+psi_i = +-omega_i/W is a square-summable kernel element only when
+W = F + C has no real zero, so each trial establishes one fact, W > 0, at
+one call site: `_certified_trial` certifies the W that `double_transform`
+built and reads the L2 flags of psi_i off that certificate. C comes from
+`min_positive_constant`, whose doubling and bisection probes run on
+`positivity.box_tree(F)`, the memoized box tree of F - F(0,0), or from an
+example's reference closed form. W - W(0,0) is that same G, so the
+certification takes the tree from `box_tree`'s one-entry memo and bounds
+no box the probes already bounded.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from .construct import (
     transform_family,
 )
 from .decay import DecayReport, decay_exponent, square_summable
-from .errors import (
-    Inconclusive,
-    InvariantViolated,
-    MoutardKitError,
-    NonPositiveLeadingForm,
-    VerificationFailed,
-)
+from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
 from .gallery import get_example
 from .harmonic import conjugate, random_combo
 from .polynomials import BivariatePoly, RationalFn
@@ -54,33 +50,28 @@ REFINE_FLOOR = Fraction(1, 64)
 COEFFICIENT_BOUND = 5  # seed coefficients of a sweep are drawn from [-5, 5]
 
 
-def min_positive_constant(
-    f: BivariatePoly, max_depth: Optional[int] = None
-) -> Tuple[Fraction, PositivityCertificate]:
-    """(C, certificate): F + C is globally positive, C is within a factor
-    of two of the least value this bisection can certify, and the
-    certificate is `global_positivity(F + C)`.
+def min_positive_constant(f: BivariatePoly, max_depth: Optional[int] = None) -> Fraction:
+    """A constant C that makes F + C globally positive, within a factor of
+    two of the least value this bisection can certify.
 
     Brackets from [0, 1] by doubling until certification succeeds (cap
     2^64), then bisects; a probe that is refuted or comes back
     Inconclusive counts as not certifiable at the configured depth.
 
     Every probe runs on `box_tree(f)`, the tree of G = F - F(0,0), at
-    offset k = c + F(0,0), which decides F + c exactly as
-    `global_positivity(F + c)` does. The closing `global_positivity(F + C)`
-    takes the same tree from `box_tree`'s memo and walks only boxes that
-    the probe at C already bounded, so each box is bounded once per trial.
-    Building the tree raises NonPositiveLeadingForm when no constant can
-    work.
+    offset c + F(0,0), which decides F + c exactly as
+    `global_positivity(F + c)` does. This returns only C: the caller
+    certifies the W it builds from C, and that certification walks the
+    same memoized tree without bounding a box again. Building the tree
+    raises NonPositiveLeadingForm when no constant can work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
     tree, f0 = box_tree(f, max_depth)
 
     def certifies(c: Fraction) -> bool:
-        k = c + f0
         try:
-            outcome = tree.traverse(k.numerator, k.denominator)
+            outcome = tree.traverse(c + f0)
         except Inconclusive:
             return False
         return not isinstance(outcome, PositivityRefutation)
@@ -100,10 +91,7 @@ def min_positive_constant(
             hi = mid
         else:
             lo = mid
-    certificate = global_positivity(f + BivariatePoly.constant(hi), max_depth)
-    if not isinstance(certificate, PositivityCertificate):
-        raise InvariantViolated("F + C refuted after its probe certified")
-    return hi, certificate
+    return hi
 
 
 @dataclass(frozen=True)
@@ -217,19 +205,16 @@ class TrialReport:
 
 
 def _certified_trial(
-    trial: int,
-    oriented: SeedPair,
-    f: BivariatePoly,
-    constant: Fraction,
-    certificate: PositivityCertificate,
+    trial: int, oriented: SeedPair, constant: Fraction, max_depth: Optional[int]
 ) -> TrialReport:
-    """Transform and analyze an oriented pair, given W = F + C's certificate.
+    """Transform an oriented pair with C, certify its W and analyze it.
 
-    psi1 and psi2 have denominator W, so their L2 flags read `certificate`.
+    psi1 and psi2 have denominator W, so their L2 flags read W's
+    certificate. A W that does not certify raises VerificationFailed.
     """
     result = double_transform(oriented, constant)
-    if result.w_poly != f + BivariatePoly.constant(constant):
-        raise InvariantViolated("W differs from the certified F + C")
+    certificate = global_positivity(result.w_poly, max_depth)
+    _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
     u_report = decay_exponent(result.u)
     psi1_report = decay_exponent(result.psi1)
     psi2_report = decay_exponent(result.psi2)
@@ -267,10 +252,10 @@ def run_trial(
     """
     try:
         oriented, f = orient_for_positivity(seeds)
-        constant, certificate = min_positive_constant(f, max_depth)
+        constant = min_positive_constant(f, max_depth)
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
-    return _certified_trial(trial, oriented, f, constant, certificate).record
+    return _certified_trial(trial, oriented, constant, max_depth).record
 
 
 def sweep(
@@ -309,21 +294,19 @@ def _proportional_rf(a: RationalFn, b: RationalFn) -> bool:
 def verify_example_full(ident: int, max_depth: Optional[int] = None) -> TrialReport:
     """Run the whole pipeline on a built-in example and assert its claims.
 
-    W is certified once. An example with a reference closed form
-    calibrates C against it and certifies F + C; one without takes C and
-    W's certificate from `min_positive_constant`.
+    An example with a reference closed form calibrates C against it; one
+    without takes C from `min_positive_constant`. Either way
+    `_certified_trial` certifies W once.
     """
     example = get_example(ident)
     oriented, f = orient_for_positivity(example.seeds)
     ref = example.reference
     if ref is None:
-        constant, certificate = min_positive_constant(f, max_depth)
+        constant = min_positive_constant(f, max_depth)
     else:
         lam, c_total = calibrate_against(f, ref.w_poly)
         constant = c_total / lam
-        certificate = global_positivity(f + BivariatePoly.constant(constant), max_depth)
-        _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
-    report = _certified_trial(ident, oriented, f, constant, certificate)
+    report = _certified_trial(ident, oriented, constant, max_depth)
 
     if ref is not None:
         result = report.result

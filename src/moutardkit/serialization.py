@@ -25,7 +25,8 @@ def fraction_to_obj(value: Fraction) -> dict:
 
 def obj_to_fraction(obj: dict) -> Fraction:
     num, den = obj["num"], obj["den"]
-    if not (isinstance(num, (int, str)) and isinstance(den, (int, str))):
+    # type() rejects bool, which isinstance would accept as an int
+    if not all(type(v) in (int, str) for v in (num, den)):
         raise TypeError(f"expected integer strings, got {num!r} / {den!r}")
     return Fraction(int(num), int(den))
 

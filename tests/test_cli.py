@@ -255,6 +255,26 @@ def test_exit_usage_on_repeated_term(tmp_path, capsys):
     assert "repeated term x^0 y^0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # read as 1*x^2 + y^2/1 + 1 this would certify
+        [{"i": 2, "j": 0, "num": True, "den": "1"}, {"i": 0, "j": 2, "num": "1", "den": True}],
+        # read as x^1 this would fail as an odd-degree form
+        [{"i": True, "j": False, "num": "1", "den": "1"}],
+    ],
+    ids=["boolean-number", "boolean-exponent"],
+)
+def test_exit_usage_on_json_booleans(terms, tmp_path, capsys):
+    poly = tmp_path / "p.json"
+    obj = {"vars": ["x", "y"], "terms": terms + [{"i": 0, "j": 0, "num": "1", "den": "1"}]}
+    poly.write_text(json.dumps(obj), encoding="utf-8")
+    assert run("positivity", "--poly", str(poly)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad polynomial file" in captured.err
+
+
 # valid input files built from example 1, and commands that read them; the
 # fuzz test below mutates the first file named by each command
 FUZZ_REF = gallery.get_example(1)
@@ -305,10 +325,10 @@ def _mutate(obj, kind, draw):
         poly["terms"].append(dict(draw(st.sampled_from(poly["terms"])), num="7"))
     elif kind == "bad-exponent" and terms:
         term = draw(st.sampled_from(terms))
-        term[draw(st.sampled_from(["i", "j"]))] = draw(st.sampled_from([-1, 1.5, "1", None, [0]]))
+        term[draw(st.sampled_from(["i", "j"]))] = draw(st.sampled_from([-1, 1.5, "1", None, [0], True]))
     elif kind == "bad-number" and terms:
         term = draw(st.sampled_from(terms))
-        term[draw(st.sampled_from(["num", "den"]))] = draw(st.sampled_from(["1/2", "x", 1.5, None]))
+        term[draw(st.sampled_from(["num", "den"]))] = draw(st.sampled_from(["1/2", "x", 1.5, None, True]))
     elif kind == "wrong-vars" and polys:
         draw(st.sampled_from(polys))["vars"] = draw(st.sampled_from([["x"], ["y", "x"], "xy", None]))
     elif kind == "empty-terms" and polys:

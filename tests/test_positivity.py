@@ -14,7 +14,6 @@ from moutardkit.positivity import (
     CertifiedCell,
     PositivityCertificate,
     PositivityRefutation,
-    _BoxBounder,
     _BoxTree,
     global_positivity,
     leading_dominance,
@@ -190,12 +189,12 @@ def fresh_tree_positivity(w, max_depth=None):
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
     tree = _BoxTree(w, DEFAULT_MAX_DEPTH if max_depth is None else max_depth)
-    outcome = tree.traverse(0, 1)
+    outcome = tree.traverse(Fraction(0))
     if isinstance(outcome, PositivityRefutation):
         return outcome
     max_depth_used = max(depth for _, _, depth, _ in outcome)
     top = (max_depth_used + 1) // 2
-    radius, scale, d = tree.radius, tree.bounder.denominator, tree.bounder.degree
+    radius, scale, d = tree.radius, tree.denominator, tree.degree
     keyed = []
     for i, j, depth, lower in outcome:
         s, px, qy, hy = tree.geometry(i, j, depth)
@@ -278,21 +277,31 @@ class TestBoxTreeMemo:
 
 @pytest.fixture
 def bounds_calls(monkeypatch):
-    """Counts _BoxBounder.bounds calls, starting from an empty memo."""
+    """Counts _BoxTree.bounds calls, starting from an empty memo."""
     calls = [0]
-    original = _BoxBounder.bounds
+    original = _BoxTree.bounds
 
     def counting(self, *args):
         calls[0] += 1
         return original(self, *args)
 
-    monkeypatch.setattr(_BoxBounder, "bounds", counting)
+    monkeypatch.setattr(_BoxTree, "bounds", counting)
     monkeypatch.setattr(positivity, "_last_tree", None)
     return calls
 
 
-def test_closing_certification_bounds_no_box(monkeypatch, bounds_calls):
+def test_closing_certification_bounds_no_box(bounds_calls):
     _, f = search.orient_for_positivity(get_example(2).seeds)
+    constant = search.min_positive_constant(f)
+    probed = bounds_calls[0]
+    w = f + BivariatePoly.constant(constant)
+    certificate = global_positivity(w)
+    assert probed > 0
+    assert bounds_calls[0] == probed
+    assert certificate == fresh_tree_positivity(w)
+
+
+def test_certifying_w_at_a_non_default_depth_bounds_no_box(monkeypatch, bounds_calls):
     during_certification = []
 
     def certify(w, max_depth=None):
@@ -302,10 +311,10 @@ def test_closing_certification_bounds_no_box(monkeypatch, bounds_calls):
         return outcome
 
     monkeypatch.setattr(search, "global_positivity", certify)
-    constant, certificate = search.min_positive_constant(f)
+    record = search.run_trial(0, search._draw_pair(random.Random(5), 2, 5), max_depth=12)
+    assert record.positivity == "certified"
     assert during_certification == [0]
     assert bounds_calls[0] > 0
-    assert certificate == fresh_tree_positivity(f + BivariatePoly.constant(constant))
 
 
 def test_example_2_bounds_each_box_once(bounds_calls):

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from moutardkit import decay, numeric, search, serialization
-from moutardkit.construct import SeedPair, double_transform, transform_family
-from moutardkit.errors import Inconclusive, InvariantViolated, NonPositiveLeadingForm
+from moutardkit import decay, numeric, positivity, search, serialization
+from moutardkit.construct import SeedPair, transform_family
+from moutardkit.errors import Inconclusive, NonPositiveLeadingForm, VerificationFailed
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
     DEFAULT_MAX_DEPTH,
@@ -85,6 +85,12 @@ def reference_min_positive_constant(f, max_depth=None):
     return hi, certificate
 
 
+def certified_min_positive_constant(f, max_depth=None):
+    """search.min_positive_constant's C with the certificate of F + C."""
+    constant = search.min_positive_constant(f, max_depth)
+    return constant, global_positivity(f + BivariatePoly.constant(constant), max_depth)
+
+
 def constant_search_outcome(find, f, max_depth):
     try:
         constant, certificate = find(f, max_depth)
@@ -102,17 +108,7 @@ def test_min_positive_constant_matches_one_global_positivity_per_probe(degree, s
     _, f = search.orient_for_positivity(search._draw_pair(random.Random(seed), degree, 5))
     f = f + BivariatePoly.constant(shift)
     expected = constant_search_outcome(reference_min_positive_constant, f, max_depth)
-    assert constant_search_outcome(search.min_positive_constant, f, max_depth) == expected
-
-
-def test_min_positive_constant_rejects_a_final_certification_that_disagrees(monkeypatch):
-    def refutes(w, max_depth=None):
-        return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
-
-    monkeypatch.setattr(search, "global_positivity", refutes)
-    _, f = search.orient_for_positivity(degree2_pair(5))
-    with pytest.raises(InvariantViolated, match="refuted after its probe certified"):
-        search.min_positive_constant(f)
+    assert constant_search_outcome(certified_min_positive_constant, f, max_depth) == expected
 
 
 def test_min_positive_constant_stops_at_the_doubling_cap():
@@ -128,11 +124,10 @@ def test_min_positive_constant_stops_at_the_doubling_cap():
 
 @pytest.mark.parametrize("seed", FAST_PAIR_SEEDS)
 def test_min_positive_constant_returns_the_certificate_of_f_plus_c(seed):
+    # F + C certifies and F + C/2 does not
     _, f = search.orient_for_positivity(degree2_pair(seed))
-    constant, certificate = search.min_positive_constant(f)
-    w = f + BivariatePoly.constant(constant)
-    assert isinstance(certificate, PositivityCertificate)
-    assert certificate.to_obj() == global_positivity(w).to_obj()
+    constant = search.min_positive_constant(f)
+    assert isinstance(global_positivity(f + BivariatePoly.constant(constant)), PositivityCertificate)
     assert constant > search.REFINE_FLOOR
     try:
         half = global_positivity(f + BivariatePoly.constant(constant / 2))
@@ -176,18 +171,22 @@ def test_run_trial_records_a_pair_without_positive_orientation():
 
 
 def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
-    def never_certifies(w, max_depth=None):
-        raise Inconclusive(max_depth)
+    # every probe of the constant search walks the box tree
+    def never_certifies(tree, offset):
+        raise Inconclusive(tree.depth_limit)
 
-    monkeypatch.setattr(search, "global_positivity", never_certifies)
+    monkeypatch.setattr(positivity._BoxTree, "traverse", never_certifies)
     record = search.run_trial(0, degree2_pair(1))
     assert (record.error, record.constant) == ("Inconclusive", Fraction(0))
 
 
 def test_run_trial_propagates_every_other_error(monkeypatch):
-    # a transform whose W is not the certified F + C is a pipeline defect
-    monkeypatch.setattr(search, "double_transform", lambda seeds, c: double_transform(seeds, c + 1))
-    with pytest.raises(InvariantViolated, match="certified F \\+ C"):
+    # a built W that does not certify is a pipeline defect, not a failed trial
+    def refutes(w, max_depth=None):
+        return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
+
+    monkeypatch.setattr(search, "global_positivity", refutes)
+    with pytest.raises(VerificationFailed, match="global positivity certificate for W"):
         search.run_trial(0, degree2_pair(1))
 
 
