@@ -26,7 +26,6 @@ from .gallery import get_example
 from .harmonic import HarmonicCombo, harmonic_basis, is_harmonic, random_combo
 from .moutard import (
     ClosedOneForm,
-    TransformFamily,
     integrate_closed,
     moutard_potential,
     moutard_solution,
@@ -65,7 +64,6 @@ __all__ = [
     "RationalFn",
     "SearchRecord",
     "SeedPair",
-    "TransformFamily",
     "calibrate_against",
     "darboux_step",
     "decay_exponent",

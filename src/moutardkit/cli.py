@@ -3,7 +3,8 @@
 Subcommands: example, transform, verify, positivity, sample, search,
 darboux1d. Every run is deterministic given its flags; exit status is 0
 for success/true, 1 for verified-false/refuted, 2 for usage or input
-errors, 3 for an inconclusive branch-and-bound, and 141 (128 + SIGPIPE,
+errors (an unwritable --out too), 3 for an inconclusive branch-and-bound
+or a leading form that is not positive definite, and 141 (128 + SIGPIPE,
 what a shell reports for a killed writer) when the reader of stdout
 closed it early, as `| head` does.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import construct, darboux, search, serialization
-from .errors import Inconclusive, MoutardKitError, VerificationFailed
+from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
 from .polynomials import RationalFn, _int_eval, _integer_point
 from .positivity import DEFAULT_MAX_DEPTH, PositivityCertificate, global_positivity
 from .moutard import verify_solution
@@ -43,14 +44,19 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise UsageError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -287,7 +293,7 @@ def main(argv: Optional[list] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Inconclusive as exc:
+    except (Inconclusive, NonPositiveLeadingForm) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except VerificationFailed as exc:

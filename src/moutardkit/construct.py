@@ -1,11 +1,11 @@
 """Two commuting Moutard transformations with a common target potential.
 
-From a seed pair (omega1, omega2) in the kernel of -Lap + u0 the scheme
-produces W = F + C (quadrature of the omega1/omega2 Wronskian form), the
-potential u = u0 - 2*Lap(log W), and the explicit kernel elements
-psi1 = omega1/W and psi2 = -omega2/W. The second transformation is never
-integrated: its result is written down algebraically and then re-verified
-symbolically.
+This module only composes the single step of `moutard`. From a seed pair
+(omega1, omega2) in the kernel of -Lap + u0, the step with seed omega1 and
+co-solution omega2 gives F; then W = F + C, u = u0 - 2*Lap(log W), and the
+kernel elements psi1 = omega1/W and psi2 = -omega2/W. The second
+transformation is never integrated: its result is written down
+algebraically and then re-verified symbolically.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from .errors import (
     ProportionalSeeds,
     SeedNotInKernel,
 )
-from .moutard import (
-    TransformFamily,
-    kernel_residual,
-    moutard_potential,
-    moutard_solution,
-    verify_solution,
-)
+from .moutard import moutard_potential, moutard_solution, potential_from_w, verify_solution
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
 
 
@@ -51,7 +45,7 @@ class SeedPair:
 
     def __post_init__(self):
         for name, seed in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if seed.is_zero or not kernel_residual(self.u0, seed).is_zero:
+            if seed.is_zero or not verify_solution(self.u0, RationalFn(seed)):
                 raise SeedNotInKernel(f"(-Lap + u0) {name} != 0")
         if proportional(self.omega1, self.omega2):
             raise ProportionalSeeds("omega1 and omega2 are linearly dependent")
@@ -77,24 +71,11 @@ class DoubleMoutardResult:
     u: RationalFn
     psi1: RationalFn
     psi2: RationalFn
-    theta1: RationalFn
-    theta2: RationalFn
 
 
-def log_laplacian(g: BivariatePoly) -> RationalFn:
-    """Lap(log g) = (g*Lap(g) - g_x^2 - g_y^2) / g^2, exactly."""
-    gx, gy = g.diff_x(), g.diff_y()
-    return RationalFn(g * g.laplacian() - gx * gx - gy * gy, g * g)
-
-
-def transform_family(seeds: SeedPair) -> TransformFamily:
-    """Quadrature step: the family theta1 = (F + C)/omega1."""
-    return moutard_solution(seeds.u0, seeds.omega1, seeds.omega2)
-
-
-def potential_from_w(u0: RationalFn, w: BivariatePoly) -> RationalFn:
-    """u = u0 - 2*Lap(log W), the common potential of both branches."""
-    return u0 - log_laplacian(w).scale(2)
+def transform_family(seeds: SeedPair) -> BivariatePoly:
+    """The quadrature F of the first step; W = F + C and theta1 = W/omega1."""
+    return moutard_solution(seeds.omega1, seeds.omega2)
 
 
 def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardResult:
@@ -105,19 +86,16 @@ def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardRe
     there means a defect in the pipeline, not in the inputs.
     """
     c = as_fraction(constant)
-    family = transform_family(seeds)
-    w = family.antiderivative + BivariatePoly.constant(c)
+    w = transform_family(seeds) + BivariatePoly.constant(c)
     if w.is_zero:
         raise ProportionalSeeds("quadrature collapsed to a constant")
     u = potential_from_w(seeds.u0, w)
     psi1 = RationalFn(seeds.omega1, w)
     psi2 = RationalFn(-seeds.omega2, w)
-    theta1 = RationalFn(w, seeds.omega1)
-    theta2 = RationalFn(-w, seeds.omega2)
     for name, psi in (("psi1", psi1), ("psi2", psi2)):
         if not verify_solution(u, psi):
             raise InvariantViolated(f"(-Lap + u) {name} != 0")
-    return DoubleMoutardResult(w, c, u, psi1, psi2, theta1, theta2)
+    return DoubleMoutardResult(w, c, u, psi1, psi2)
 
 
 def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
@@ -128,9 +106,10 @@ def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
     kernels of -Lap + u_mid_1 and -Lap + u_mid_2. Returns True iff both
     pass `verify_solution`; a W that is not the quadrature F + C fails.
     """
+    w = result.w_poly
     return all(
-        verify_solution(moutard_potential(seeds.u0, omega), theta)
-        for omega, theta in ((seeds.omega1, result.theta1), (seeds.omega2, result.theta2))
+        verify_solution(moutard_potential(seeds.u0, omega), RationalFn(theta_num, omega))
+        for omega, theta_num in ((seeds.omega1, w), (seeds.omega2, -w))
     )
 
 

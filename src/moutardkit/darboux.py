@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List
 
-from .construct import log_laplacian
 from .errors import SeedNotInKernel, ZeroSeed
+from .moutard import log_laplacian
 from .polynomials import BivariatePoly, RationalFn
 
 

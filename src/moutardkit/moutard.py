@@ -2,16 +2,17 @@
 
 Given a seed omega with L(omega) = 0, the potential map is
 
-    u  ->  2*(omega_x^2 + omega_y^2)/omega^2 - u,
+    u  ->  u - 2*Lap(log omega)  =  2*(omega_x^2 + omega_y^2)/omega^2 - u,
 
-and each co-solution phi is carried to the family
-phi~ = (F + C)/omega, where F is the quadrature of the closed 1-form
+the two forms agreeing exactly because u*omega = Lap(omega). A co-solution
+phi is carried to F, the quadrature of the closed 1-form
 
     P dx + Q dy,  P = -(omega*phi_y - phi*omega_y),
-                  Q =   omega*phi_x - phi*omega_x.
+                  Q =   omega*phi_x - phi*omega_x,
 
-Seeds and co-seeds are restricted to polynomials so the quadrature stays
-inside exact termwise antidifferentiation.
+and every (F + C)/omega solves the transformed equation. Seeds and
+co-seeds are restricted to polynomials so the quadrature stays inside
+exact termwise antidifferentiation.
 """
 
 from __future__ import annotations
@@ -34,43 +35,27 @@ class ClosedOneForm:
             raise NotClosed("dP/dy != dQ/dx")
 
 
-@dataclass(frozen=True)
-class TransformFamily:
-    """The one-parameter solution family (F + C)/omega of a Moutard step."""
-
-    omega: BivariatePoly
-    antiderivative: BivariatePoly
-    form: ClosedOneForm
-
-    def __post_init__(self):
-        exact = (
-            self.antiderivative.diff_x() == self.form.p
-            and self.antiderivative.diff_y() == self.form.q
-        )
-        if not exact:
-            raise NotClosed("antiderivative does not reproduce the 1-form")
+def log_laplacian(g: BivariatePoly) -> RationalFn:
+    """Lap(log g) = (g*Lap(g) - g_x^2 - g_y^2) / g^2, exactly."""
+    gx, gy = g.diff_x(), g.diff_y()
+    return RationalFn(g * g.laplacian() - gx * gx - gy * gy, g * g)
 
 
-def kernel_residual(u: RationalFn, seed: BivariatePoly) -> BivariatePoly:
-    """Cross-multiplied residual of (-Lap + u) seed; zero iff seed is in kernel."""
-    return u.num * seed - u.den * seed.laplacian()
+def potential_from_w(u0: RationalFn, w: BivariatePoly) -> RationalFn:
+    """u = u0 - 2*Lap(log W)."""
+    return u0 - log_laplacian(w).scale(2)
 
 
 def moutard_potential(u: RationalFn, omega: BivariatePoly) -> RationalFn:
-    """Transformed potential 2*|grad omega|^2 / omega^2 - u.
+    """Transformed potential u - 2*Lap(log omega).
 
     The seed condition (-Lap + u) omega = 0 is always verified, not trusted.
     """
     if omega.is_zero:
         raise ZeroSeed("seed polynomial is zero")
-    if not kernel_residual(u, omega).is_zero:
+    if not verify_solution(u, RationalFn(omega)):
         raise SeedNotInKernel("(-Lap + u) omega != 0")
-    ox, oy = omega.diff_x(), omega.diff_y()
-    grad_sq = ox * ox + oy * oy
-    return RationalFn(
-        grad_sq.scale(2) * u.den - u.num * (omega * omega),
-        u.den * (omega * omega),
-    )
+    return potential_from_w(u, omega)
 
 
 def solution_one_form(omega: BivariatePoly, phi: BivariatePoly) -> ClosedOneForm:
@@ -102,18 +87,16 @@ def integrate_closed(form: ClosedOneForm) -> BivariatePoly:
     # both termwise antiderivatives produce no constant term
     if f.coefficient(0, 0) != 0:
         raise InvariantViolated("quadrature has a constant term")
+    if f.diff_x() != form.p or f.diff_y() != form.q:
+        raise InvariantViolated("quadrature does not reproduce the 1-form")
     return f
 
 
-def moutard_solution(
-    u: RationalFn, omega: BivariatePoly, phi: BivariatePoly
-) -> TransformFamily:
-    """Full solution map: family phi~_C = (F + C)/omega.
-
-    Every member satisfies (-Lap + moutard_potential(u, omega)) phi~ = 0.
+def moutard_solution(omega: BivariatePoly, phi: BivariatePoly) -> BivariatePoly:
+    """The quadrature F of the step: each (F + C)/omega solves the equation
+    of moutard_potential(u, omega) whenever omega and phi solve that of u.
     """
-    form = solution_one_form(omega, phi)
-    return TransformFamily(omega, integrate_closed(form), form)
+    return integrate_closed(solution_one_form(omega, phi))
 
 
 def verify_solution(u: RationalFn, psi: RationalFn) -> bool:

@@ -138,7 +138,7 @@ def orient_for_positivity(seeds: SeedPair) -> Tuple[SeedPair, BivariatePoly]:
     a positive-definite leading form. Raises NonPositiveLeadingForm when
     neither does (mixed-degree pairs).
     """
-    f = transform_family(seeds).antiderivative
+    f = transform_family(seeds)
     try:
         leading_dominance(f)
         return seeds, f

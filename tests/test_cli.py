@@ -149,6 +149,37 @@ def test_exit_usage_on_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_exit_usage_on_unwritable_out(tmp_path, capsys):
+    assert run("darboux1d", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_exit_usage_on_unreadable_json(content, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    assert run("positivity", "--poly", str(path)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unreadable JSON" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(0, 0): (5, 1), (2, 0): (-1, 1), (0, 2): (-1, 1)}, {(1, 0): (1, 1)}],
+    ids=["5-x^2-y^2", "x"],
+)
+def test_exit_inconclusive_on_a_leading_form_that_is_not_definite(terms, tmp_path, capsys):
+    # the certifier decides nothing here: x^2 + 1 takes the same path and is positive
+    assert run("positivity", "--poly", write_poly(tmp_path / "p.json", terms)) == cli.EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("inconclusive: ") and captured.out == ""
+
+
 def test_exit_inconclusive_at_depth_zero(tmp_path, capsys):
     # 3x^2 - x + y^2 + 1/10 is positive (minimum 1/60) but needs splitting
     poly = write_poly(

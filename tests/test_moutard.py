@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from moutardkit.construct import log_laplacian
 from moutardkit.errors import (
     InvariantViolated,
     NotClosed,
@@ -18,6 +17,7 @@ from moutardkit.harmonic import random_combo
 from moutardkit.moutard import (
     ClosedOneForm,
     integrate_closed,
+    log_laplacian,
     moutard_potential,
     moutard_solution,
     solution_one_form,
@@ -112,19 +112,26 @@ class TestIntegrateClosed:
         with pytest.raises(InvariantViolated):
             integrate_closed(ClosedOneForm(-X, -Y))
 
+    def test_inexact_quadrature_is_typed(self, monkeypatch):
+        # adding x keeps F(0,0) = 0, so only the exactness check can see it
+        integrate_y = BivariatePoly.integrate_y
+        monkeypatch.setattr(BivariatePoly, "integrate_y", lambda p: integrate_y(p) + X)
+        with pytest.raises(InvariantViolated, match="does not reproduce"):
+            integrate_closed(ClosedOneForm(-X, -Y))
+
 
 class TestMoutardSolution:
     def test_trivial_family(self):
-        family = moutard_solution(ZERO_U, ONE, X)
-        assert family.antiderivative == Y
-        psi = RationalFn(family.antiderivative + BivariatePoly.constant(3), family.omega)
+        f = moutard_solution(ONE, X)
+        assert f == Y
+        psi = RationalFn(f + BivariatePoly.constant(3), ONE)
         assert verify_solution(moutard_potential(ZERO_U, ONE), psi)
 
     def test_singular_family(self):
-        family = moutard_solution(ZERO_U, X, Y)
+        f = moutard_solution(X, Y)
         u = moutard_potential(ZERO_U, X)
         for c in (0, 1, Fraction(-7, 3)):
-            psi = RationalFn(family.antiderivative + BivariatePoly.constant(c), family.omega)
+            psi = RationalFn(f + BivariatePoly.constant(c), X)
             assert verify_solution(u, psi)
 
     def test_family_linearity(self):
@@ -133,11 +140,9 @@ class TestMoutardSolution:
         phi1 = random_combo(3, 0, 6, rng=rng).realized
         phi2 = random_combo(3, 0, 6, rng=rng).realized
         a, b = Fraction(3), Fraction(-5, 2)
-        f1 = moutard_solution(ZERO_U, omega, phi1).antiderivative
-        f2 = moutard_solution(ZERO_U, omega, phi2).antiderivative
-        combined = moutard_solution(
-            ZERO_U, omega, phi1.scale(a) + phi2.scale(b)
-        ).antiderivative
+        f1 = moutard_solution(omega, phi1)
+        f2 = moutard_solution(omega, phi2)
+        combined = moutard_solution(omega, phi1.scale(a) + phi2.scale(b))
         assert combined == f1.scale(a) + f2.scale(b)
 
     def test_random_families_solve_transformed_equation(self):
@@ -147,8 +152,8 @@ class TestMoutardSolution:
             phi = random_combo(4, 0, 5, rng=rng).realized
             c = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
             u_t = moutard_potential(ZERO_U, omega)
-            family = moutard_solution(ZERO_U, omega, phi)
-            psi = RationalFn(family.antiderivative + BivariatePoly.constant(c), family.omega)
+            f = moutard_solution(omega, phi)
+            psi = RationalFn(f + BivariatePoly.constant(c), omega)
             assert verify_solution(u_t, psi)
 
     def test_inverse_seed_solves_transformed_equation(self):
