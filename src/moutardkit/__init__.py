@@ -38,14 +38,9 @@ from .positivity import (
     PositivityCertificate,
     PositivityRefutation,
     global_positivity,
-    leading_form_positive,
-)
-from .search import (
-    SearchRecord,
     min_positive_constant,
-    sweep,
-    verify_example_full,
 )
+from .search import SearchRecord, sweep, verify_example_full
 
 __version__ = "0.1.0"
 
@@ -74,7 +69,6 @@ __all__ = [
     "integrate_closed",
     "is_harmonic",
     "l2_membership",
-    "leading_form_positive",
     "min_positive_constant",
     "moutard_potential",
     "moutard_solution",

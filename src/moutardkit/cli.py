@@ -17,7 +17,7 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import construct, darboux, search, serialization
 from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
@@ -36,16 +36,22 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, parse: Callable):
+    """parse(obj) of the JSON file at path; a file that cannot be read or
+    parsed is a UsageError naming `what` the file should have held."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: parse error at byte {exc.pos}: {exc.msg}") from exc
     except (UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"{path}: unreadable JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{path}: bad {what} file: {exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -87,29 +93,17 @@ def _decimal17(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _load_seeds(path: str) -> construct.SeedPair:
-    obj = _load_json(path)
-    try:
-        omega1 = serialization.obj_to_poly(obj["omega1"])
-        omega2 = serialization.obj_to_poly(obj["omega2"])
-        u0 = (
-            serialization.obj_to_rationalfn(obj["u0"])
-            if "u0" in obj
-            else RationalFn.zero()
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{path}: bad seeds file: {exc}") from exc
-    return construct.SeedPair(u0, omega1, omega2)
+def _seeds(obj) -> tuple:
+    omega1 = serialization.obj_to_poly(obj["omega1"])
+    omega2 = serialization.obj_to_poly(obj["omega2"])
+    u0 = serialization.obj_to_rationalfn(obj["u0"]) if "u0" in obj else RationalFn.zero()
+    return u0, omega1, omega2
 
 
-def _load_rationalfn(path: str) -> RationalFn:
-    obj = _load_json(path)
-    try:
-        if "num" in obj and "den" in obj and "terms" not in obj:
-            return serialization.obj_to_rationalfn(obj)
-        return RationalFn(serialization.obj_to_poly(obj))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{path}: bad function file: {exc}") from exc
+def _rationalfn(obj) -> RationalFn:
+    if "num" in obj and "den" in obj and "terms" not in obj:
+        return serialization.obj_to_rationalfn(obj)
+    return RationalFn(serialization.obj_to_poly(obj))
 
 
 def _bundle_obj(result: construct.DoubleMoutardResult, verified: bool) -> dict:
@@ -140,7 +134,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    seeds = _load_seeds(args.seeds)
+    # outside `_load`: seeds that parse but are no SeedPair keep their typed error
+    seeds = construct.SeedPair(*_load(args.seeds, "seeds", _seeds))
     constant = _parse_fraction(args.constant)
     result = construct.double_transform(seeds, constant)
     verified = construct.verify_lemma(seeds, result)
@@ -149,19 +144,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    u = _load_rationalfn(args.potential)
-    psi = _load_rationalfn(args.solution)
+    u = _load(args.potential, "function", _rationalfn)
+    psi = _load(args.solution, "function", _rationalfn)
     ok = verify_solution(u, psi)
     _emit(serialization.dumps({"verified": ok}), args.out)
     return EXIT_OK if ok else EXIT_FALSE
 
 
 def cmd_positivity(args) -> int:
-    obj = _load_json(args.poly)
-    try:
-        w = serialization.obj_to_poly(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{args.poly}: bad polynomial file: {exc}") from exc
+    w = _load(args.poly, "polynomial", serialization.obj_to_poly)
     outcome = global_positivity(w, args.max_depth)
     if isinstance(outcome, PositivityCertificate):
         _emit(serialization.dumps({"certified": True, "certificate": outcome.to_obj()}), args.out)
@@ -171,7 +162,7 @@ def cmd_positivity(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    fn = _load_rationalfn(args.fn)
+    fn = _load(args.fn, "function", _rationalfn)
     lo, hi = _parse_fraction(args.min), _parse_fraction(args.max)
     if lo >= hi:
         raise UsageError("empty sampling range")

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OddDegree
+from .errors import NonPositiveLeadingForm
 from .polynomials import RationalFn
 from .positivity import (
     PositivityCertificate,
     PositivityOutcome,
     global_positivity,
-    leading_form_positive,
+    leading_dominance,
 )
 
 
@@ -37,8 +37,11 @@ class DecayReport:
 def decay_exponent(f: RationalFn) -> DecayReport:
     """Report deg(den) - deg(num) and the validity of the uniform bound.
 
-    A zero numerator decays faster than any rate; deg(den) is reported
-    with the generic-ray flag off.
+    The bound is valid when `leading_dominance(den)` exists, i.e. den's
+    leading form has a positive lower bound m on the unit circle; its (m, S)
+    are what the constants K and R0 of the bound are made of. A zero
+    numerator decays faster than any rate; deg(den) is reported with the
+    generic-ray flag off.
     """
     den_degree = int(f.den.degree)
     if f.num.is_zero:
@@ -48,10 +51,10 @@ def decay_exponent(f: RationalFn) -> DecayReport:
         exponent = den_degree - int(f.num.degree)
         exact = True
     try:
-        bound = leading_form_positive(f.den.leading_form())
-    except OddDegree:
-        bound = None
-    valid = bound is not None
+        leading_dominance(f.den)
+        valid = True
+    except NonPositiveLeadingForm:
+        valid = False
     return DecayReport(exponent=exponent, bound_valid=valid, exact_on_generic_ray=exact)
 
 

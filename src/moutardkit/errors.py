@@ -29,14 +29,6 @@ class NoAffineMatch(MoutardKitError):
     """No affine map lambda*F + C reproduces the target polynomial."""
 
 
-class NotHomogeneous(MoutardKitError):
-    """A homogeneous polynomial was required."""
-
-
-class OddDegree(MoutardKitError):
-    """A homogeneous form of odd degree cannot be one-signed."""
-
-
 class NonPositiveLeadingForm(MoutardKitError):
     """The leading form is not strictly positive on the unit circle."""
 

@@ -125,6 +125,8 @@ def numeric_l2_norm(
     of `outer_radius` and the radius where the denominator's leading form
     dominates, so the tail constant is actually valid.
     """
+    if radial_cells < 1 or angular_cells < 1:
+        raise ValueError("need at least 1 radial and 1 angular cell")
     outcome = global_positivity(psi.den)
     if not isinstance(outcome, PositivityCertificate):
         raise PoleTooClose(

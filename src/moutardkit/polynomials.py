@@ -334,10 +334,6 @@ class BivariatePoly:
             {e: c for e, c in self._ints.items() if e[0] + e[1] == d}, self._den
         )
 
-    def is_homogeneous(self) -> bool:
-        degrees = {i + j for i, j in self._ints}
-        return len(degrees) <= 1
-
     def coefficient_abs_sum(self) -> Fraction:
         return Fraction(sum(map(abs, self._ints.values())), self._den)
 

@@ -1,19 +1,22 @@
-"""Exact global-positivity certification for bivariate polynomials.
+"""Exact global positivity of bivariate polynomials: the one module that
+knows the circle test and the box tree.
 
-Everything here is decided with rational arithmetic: the leading form is
-bounded on the unit circle through Sturm sequences, the leading term's
-dominance radius comes from a coefficient-sum tail bound, and the inside
-of the disk is covered by branch-and-bound with centered-form interval
-bounds. The branch-and-bound runs on integers: boxes are dyadic cells of
-the root square and their bounds integers on a common scale, so
-`Fraction`s are built only for the cells and points it reports.
+Callers ask three things. `leading_dominance(p)` bounds p's leading form
+on the unit circle through Sturm sequences (the only circle test) and
+gives the coefficient-sum tail that makes the leading term dominate.
+`global_positivity(w, max_depth)` certifies w > 0 on the plane or refutes
+it at a rational point. `min_positive_constant(f, max_depth)` finds a
+constant C that makes f + C certifiable.
 
-One box tree memoizes the bounds per box of G = w - w(0,0) and decides
-G + k for any constant k by integer comparisons; `global_positivity(w)`
-is its traversal at offset k = w(0,0). `box_tree` keeps the last tree in
-a one-entry memo keyed by (G, depth limit). The constant search of
-`search` probes F + c on that tree, and the one certification of the
-emitted W = F + C has the same G, so it bounds no box again.
+Inside the cutoff radius the plane is covered by branch-and-bound with
+centered-form bounds, on integers: boxes are dyadic cells of the root
+square and their bounds integers on a common scale, so `Fraction`s are
+built only for the cells and points reported. One box tree holds the
+bounds per box of G = w - w(0,0); no bound depends on the depth limit or
+on a constant offset, so the tree decides G + k for every constant k at
+every depth limit by integer comparisons. `box_tree` keeps the last tree
+in a one-entry memo keyed by G: the constant search probes F + c on it,
+and certifying the W = F + C built from its answer bounds no box again.
 `Inconclusive` is an explicit outcome, never treated as positive.
 """
 
@@ -24,12 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .errors import Inconclusive, NonPositiveLeadingForm, NotHomogeneous, OddDegree
+from .errors import Inconclusive, NonPositiveLeadingForm
 from .polynomials import BivariatePoly
 from .serialization import fraction_to_obj, obj_to_fraction
 from .sturm import is_positive_everywhere
 
 DEFAULT_MAX_DEPTH = 40
+DOUBLING_CAP = Fraction(2) ** 64
+REFINE_FLOOR = Fraction(1, 64)
 
 Box = Tuple[Fraction, Fraction, Fraction, Fraction]  # (x_lo, x_hi, y_lo, y_hi)
 
@@ -96,37 +101,23 @@ class PositivityRefutation:
 PositivityOutcome = Union[PositivityCertificate, PositivityRefutation]
 
 
-def _circle_section(p: BivariatePoly) -> BivariatePoly:
-    """q(t) = p(1, t) for a homogeneous p, as a y-free polynomial in t.
+def _circle_bound(lead: BivariatePoly, d: int) -> Optional[Fraction]:
+    """An exact positive lower bound on the unit circle of a nonzero form
+    of even degree d, or None when the form attains a value <= 0 there.
 
-    On the form this captures the x != 0 directions; homogeneity makes the
-    exponent j determine the term, so no two terms land on the same power.
+    The test uses the section q(t) = lead(1, t): positivity on the circle
+    is equivalent to lead(0,1) > 0 plus q root-free and positive. The bound
+    c is certified by showing q - c*(1+t^2)^(d/2) is root-free, halving c
+    until that holds.
     """
-    return BivariatePoly({(j, 0): c for (_, j), c in p.items()})
-
-
-def leading_form_positive(p: BivariatePoly) -> Optional[Fraction]:
-    """An exact positive lower bound of a homogeneous form on the unit circle.
-
-    Returns None when the form attains a value <= 0 there. The test uses
-    the section q(t) = p(1, t): positivity on the circle is equivalent to
-    p(0,1) > 0 plus q root-free and positive. The bound c is certified by
-    showing q - c*(1+t^2)^(d/2) is root-free, halving c until that holds.
-    """
-    if p.is_zero:
-        raise NotHomogeneous("zero polynomial has no circle bound")
-    if not p.is_homogeneous():
-        raise NotHomogeneous("leading_form_positive needs a homogeneous form")
-    d = int(p.degree)
-    if d % 2:
-        raise OddDegree("odd-degree forms change sign on the circle")
     if d == 0:
-        c = p.coefficient(0, 0)
+        c = lead.coefficient(0, 0)
         return c if c > 0 else None
-    a0 = p.coefficient(0, d)  # value at (0, +-1)
+    a0 = lead.coefficient(0, d)  # value at (0, +-1)
     if a0 <= 0:
         return None
-    q = _circle_section(p)
+    # q(t) as a y-free polynomial in t; on a form the exponent j fixes the term
+    q = BivariatePoly({(j, 0): c for (_, j), c in lead.items()})
     if not is_positive_everywhere(q):
         return None
     power = BivariatePoly({(0, 0): 1, (2, 0): 1}) ** (d // 2)
@@ -134,7 +125,7 @@ def leading_form_positive(p: BivariatePoly) -> Optional[Fraction]:
     while True:
         g = q - power.scale(c)
         if g.is_zero:
-            # p is exactly c*(x^2+y^2)^(d/2); c is the exact minimum
+            # lead is exactly c*(x^2+y^2)^(d/2); c is the exact minimum
             return c
         if is_positive_everywhere(g):
             return c
@@ -146,22 +137,20 @@ def leading_dominance(p: BivariatePoly) -> Tuple[Fraction, Fraction, int]:
     total degree D); then p >= m*r^D - S*r^(D-1) for r >= 1.
 
     A nonnegative constant term only helps and is left out of S.
-    Raises NonPositiveLeadingForm when no such m exists.
+    Raises NonPositiveLeadingForm when no such m exists, in particular for
+    an odd D.
     """
     lead = p.leading_form()
-    try:
-        bound = leading_form_positive(lead)
-    except OddDegree as exc:
-        raise NonPositiveLeadingForm(str(exc)) from exc
+    d = int(p.degree)
+    if d % 2:
+        raise NonPositiveLeadingForm("odd-degree forms change sign on the circle")
+    bound = _circle_bound(lead, d)
     if bound is None:
         raise NonPositiveLeadingForm("leading form attains <= 0 on the circle")
-    rest = p - lead
-    lower_sum = Fraction(0)
-    for (i, j), c in rest.items():
-        if (i, j) == (0, 0) and c > 0:
-            continue
-        lower_sum += abs(c)
-    return bound, lower_sum, int(p.degree)
+    lower_sum = sum(
+        abs(c) for (i, j), c in p._ints.items() if i + j < d and not (i == j == 0 and c > 0)
+    )
+    return bound, Fraction(lower_sum, p._den), d
 
 
 class _BoxTree:
@@ -186,11 +175,10 @@ class _BoxTree:
     constant offset k from f's memoized (centre, spread).
     """
 
-    def __init__(self, f: BivariatePoly, depth_limit: int):
+    def __init__(self, f: BivariatePoly):
         self.poly = f
         self.bound, lower_sum, _ = leading_dominance(f)
         self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
-        self.depth_limit = depth_limit
         self.denominator = f._den  # f = f._ints / denominator
         self.degree = d = int(f.degree)
         # row i holds the coefficients of x^i y^j for j <= d - i
@@ -248,7 +236,7 @@ class _BoxTree:
         return grid[0][0], spread
 
     def traverse(
-        self, offset: Fraction
+        self, offset: Fraction, depth_limit: int
     ) -> Union[List[Tuple[int, int, int, int]], PositivityRefutation]:
         """Branch-and-bound for f + offset in a fixed depth-first order.
 
@@ -279,8 +267,8 @@ class _BoxTree:
             if center > spread:
                 cells.append((i, j, depth, center - spread))
                 continue
-            if depth >= self.depth_limit:
-                raise Inconclusive(self.depth_limit)
+            if depth >= depth_limit:
+                raise Inconclusive(depth_limit)
             if depth % 2:
                 stack.append((i, 2 * j + 1, depth + 1))
                 stack.append((i, 2 * j, depth + 1))
@@ -293,27 +281,23 @@ class _BoxTree:
 _last_tree: Optional[_BoxTree] = None
 
 
-def box_tree(w: BivariatePoly, max_depth: Optional[int]) -> Tuple[_BoxTree, Fraction]:
+def box_tree(w: BivariatePoly) -> Tuple[_BoxTree, Fraction]:
     """(tree of G = w - w(0,0), w(0,0)) for a nonconstant w.
 
     w + c is G + (w(0,0) + c), so the tree decides w + c for every constant
-    c. The last tree built is kept and returned again for the same G and
-    depth limit, with every box it has bounded. Raises
+    c at every depth limit. The last tree built is kept and returned again
+    for the same G, with every box it has bounded. Raises
     NonPositiveLeadingForm when w's leading form is not positive definite.
     """
     global _last_tree
     w0 = w.coefficient(0, 0)
     g = w - BivariatePoly.constant(w0)
-    depth_limit = DEFAULT_MAX_DEPTH if max_depth is None else max_depth
-    tree = _last_tree
-    if tree is None or tree.depth_limit != depth_limit or tree.poly != g:
-        tree = _last_tree = _BoxTree(g, depth_limit)
-    return tree, w0
+    if _last_tree is None or _last_tree.poly != g:
+        _last_tree = _BoxTree(g)
+    return _last_tree, w0
 
 
-def global_positivity(
-    w: BivariatePoly, max_depth: Optional[int] = None
-) -> PositivityOutcome:
+def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> PositivityOutcome:
     """Certify w > 0 on the whole plane, or produce a refuting point.
 
     Outside the cutoff radius R the leading form dominates, and [-R, R]^2
@@ -331,8 +315,8 @@ def global_positivity(
         if c <= 0:
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
-    tree, w0 = box_tree(w, max_depth)
-    outcome = tree.traverse(w0)
+    tree, w0 = box_tree(w)
+    outcome = tree.traverse(w0, max_depth)
     if isinstance(outcome, PositivityRefutation):
         return outcome
     # sort on the integer corners over the common 2^top, then build each
@@ -352,3 +336,41 @@ def global_positivity(
         for corners, lower in keyed
     )
     return PositivityCertificate(tree.bound, Fraction(radius), cells, max_depth_used)
+
+
+def min_positive_constant(f: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> Fraction:
+    """A constant C that makes F + C globally positive, within a factor of
+    two of the least value this bisection can certify.
+
+    Brackets from [0, 1] by doubling until certification succeeds (cap
+    2^64), then bisects; a probe that is refuted or comes back
+    Inconclusive counts as not certifiable at the depth limit. Every probe
+    walks `box_tree(f)` at offset c + F(0,0), which decides F + c exactly
+    as `global_positivity(F + c)` does, so certifying the W = F + C built
+    from the result bounds no box again. Building the tree raises
+    NonPositiveLeadingForm when no constant can work.
+    """
+    if f.degree <= 0:
+        raise ValueError("needs a nonconstant polynomial")
+    tree, f0 = box_tree(f)
+
+    def certifies(c: Fraction) -> bool:
+        try:
+            return isinstance(tree.traverse(c + f0, max_depth), list)
+        except Inconclusive:
+            return False
+
+    lo = Fraction(0)
+    hi = Fraction(1)
+    while not certifies(hi):
+        lo = hi
+        hi = hi * 2
+        if hi > DOUBLING_CAP:
+            raise Inconclusive(max_depth, f"no certifiable constant up to {DOUBLING_CAP}")
+    while (lo == 0 and hi > REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
+        mid = (lo + hi) / 2
+        if certifies(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -1,5 +1,5 @@
-"""Exploration drivers: minimal positive constants, random sweeps over
-harmonic seed pairs, and full verification of the built-in examples.
+"""Exploration drivers: random sweeps over harmonic seed pairs and full
+verification of the built-in examples.
 
 A sweep measures how fast the constructed potentials and kernel functions
 decay as the seed degree grows; it only ever records what was certified,
@@ -9,11 +9,9 @@ psi_i = +-omega_i/W is a square-summable kernel element only when
 W = F + C has no real zero, so each trial establishes one fact, W > 0, at
 one call site: `_certified_trial` certifies the W that `double_transform`
 built and reads the L2 flags of psi_i off that certificate. C comes from
-`min_positive_constant`, whose doubling and bisection probes run on
-`positivity.box_tree(F)`, the memoized box tree of F - F(0,0), or from an
-example's reference closed form. W - W(0,0) is that same G, so the
-certification takes the tree from `box_tree`'s one-entry memo and bounds
-no box the probes already bounded.
+`positivity.min_positive_constant` (re-exported here) or from an
+example's reference closed form. Every positivity question goes to
+`positivity`; this module never sees a box.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .construct import (
     DoubleMoutardResult,
@@ -37,61 +35,15 @@ from .gallery import get_example
 from .harmonic import conjugate, random_combo
 from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
+    DEFAULT_MAX_DEPTH,
     PositivityCertificate,
-    PositivityRefutation,
-    box_tree,
     global_positivity,
     leading_dominance,
+    min_positive_constant,
 )
 from .serialization import fraction_to_obj, poly_to_obj
 
-DOUBLING_CAP = Fraction(2) ** 64
-REFINE_FLOOR = Fraction(1, 64)
 COEFFICIENT_BOUND = 5  # seed coefficients of a sweep are drawn from [-5, 5]
-
-
-def min_positive_constant(f: BivariatePoly, max_depth: Optional[int] = None) -> Fraction:
-    """A constant C that makes F + C globally positive, within a factor of
-    two of the least value this bisection can certify.
-
-    Brackets from [0, 1] by doubling until certification succeeds (cap
-    2^64), then bisects; a probe that is refuted or comes back
-    Inconclusive counts as not certifiable at the configured depth.
-
-    Every probe runs on `box_tree(f)`, the tree of G = F - F(0,0), at
-    offset c + F(0,0), which decides F + c exactly as
-    `global_positivity(F + c)` does. This returns only C: the caller
-    certifies the W it builds from C, and that certification walks the
-    same memoized tree without bounding a box again. Building the tree
-    raises NonPositiveLeadingForm when no constant can work.
-    """
-    if f.degree <= 0:
-        raise ValueError("needs a nonconstant polynomial")
-    tree, f0 = box_tree(f, max_depth)
-
-    def certifies(c: Fraction) -> bool:
-        try:
-            outcome = tree.traverse(c + f0)
-        except Inconclusive:
-            return False
-        return not isinstance(outcome, PositivityRefutation)
-
-    lo = Fraction(0)
-    hi = Fraction(1)
-    while not certifies(hi):
-        lo = hi
-        hi = hi * 2
-        if hi > DOUBLING_CAP:
-            raise Inconclusive(
-                tree.depth_limit, f"no certifiable constant up to {DOUBLING_CAP}"
-            )
-    while (lo == 0 and hi > REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
-        mid = (lo + hi) / 2
-        if certifies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 @dataclass(frozen=True)
@@ -205,7 +157,7 @@ class TrialReport:
 
 
 def _certified_trial(
-    trial: int, oriented: SeedPair, constant: Fraction, max_depth: Optional[int]
+    trial: int, oriented: SeedPair, constant: Fraction, max_depth: int
 ) -> TrialReport:
     """Transform an oriented pair with C, certify its W and analyze it.
 
@@ -243,7 +195,7 @@ def _certified_trial(
 def run_trial(
     trial: int,
     seeds: SeedPair,
-    max_depth: Optional[int] = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SearchRecord:
     """Orient, pick C by bisection, transform, and analyze one seed pair.
 
@@ -262,7 +214,7 @@ def sweep(
     degree: int,
     rng_seed: int,
     trials: int,
-    max_depth: Optional[int] = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> List[SearchRecord]:
     """Random seed-pair trials at a fixed degree, deterministically seeded.
 
@@ -291,7 +243,7 @@ def _proportional_rf(a: RationalFn, b: RationalFn) -> bool:
     return proportional(a.num * b.den, b.num * a.den)
 
 
-def verify_example_full(ident: int, max_depth: Optional[int] = None) -> TrialReport:
+def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> TrialReport:
     """Run the whole pipeline on a built-in example and assert its claims.
 
     An example with a reference closed form calibrates C against it; one

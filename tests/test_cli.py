@@ -273,7 +273,8 @@ def test_exit_usage_on_zero_denominator(argv, files, tmp_path, capsys):
     assert run(*(str(tmp_path / arg) if arg in files else arg for arg in argv)) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "bad" in captured.err
+    kind = {"positivity": "polynomial", "transform": "seeds"}.get(argv[0], "function")
+    assert f": bad {kind} file: " in captured.err
 
 
 def test_exit_usage_on_repeated_term(tmp_path, capsys):

@@ -30,7 +30,7 @@ def test_basis_harmonic_and_homogeneous(n):
     re, im = harmonic_basis(n)
     for p in (re, im):
         assert p.laplacian().is_zero
-        assert p.is_homogeneous()
+        assert {i + j for (i, j), _ in p.items()} == {n}
         assert p.degree == n
 
 

@@ -83,3 +83,8 @@ class TestL2Norm:
     def test_pole_rejected(self):
         with pytest.raises(PoleTooClose):
             numeric_l2_norm(RationalFn(ONE, X * X + Y * Y), 10)
+
+    @pytest.mark.parametrize("cells", [(0, 4), (4, 0), (-5, -5)])
+    def test_cell_counts_below_one_rejected(self, cells):
+        with pytest.raises(ValueError, match="at least 1 radial and 1 angular cell"):
+            numeric_l2_norm(REF.psi1, 8, *cells)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from moutardkit import positivity, search
-from moutardkit.errors import Inconclusive, NonPositiveLeadingForm, NotHomogeneous, OddDegree
+from moutardkit.errors import Inconclusive, NonPositiveLeadingForm
 from moutardkit.gallery import get_example
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
@@ -17,7 +17,6 @@ from moutardkit.positivity import (
     _BoxTree,
     global_positivity,
     leading_dominance,
-    leading_form_positive,
 )
 
 X, Y = BivariatePoly.variables()
@@ -34,26 +33,34 @@ W_SEARCH = BivariatePoly(
 )
 
 
+def circle_bound(p):
+    """The circle bound m of p's leading form, None when there is none."""
+    try:
+        return leading_dominance(p)[0]
+    except NonPositiveLeadingForm:
+        return None
+
+
 class TestLeadingFormPositive:
     def test_radial_quartic_block(self):
-        assert leading_form_positive((R2 * R2).scale(17)) == 17
+        assert circle_bound((R2 * R2).scale(17)) == 17
 
     def test_radial_quadratic(self):
-        assert leading_form_positive(R2) == 1
+        assert circle_bound(R2) == 1
 
     def test_sign_change_fails(self):
-        assert leading_form_positive(X * X - Y * Y) is None
+        assert circle_bound(X * X - Y * Y) is None
 
     def test_semidefinite_fails(self):
-        assert leading_form_positive(X * X * Y * Y) is None
+        assert circle_bound(X * X * Y * Y) is None
 
     def test_negative_definite_fails(self):
-        assert leading_form_positive(-R2) is None
+        assert circle_bound(-R2) is None
 
     def test_positive_but_not_radial(self):
         # 2x^4 + x^2 y^2 + y^4 is positive definite
         p = BivariatePoly({(4, 0): 2, (2, 2): 1, (0, 4): 1})
-        bound = leading_form_positive(p)
+        bound = circle_bound(p)
         assert bound is not None and bound > 0
         # bound must actually hold at sampled circle directions
         for t in (0, 1, -1, Fraction(1, 3), Fraction(-7, 2)):
@@ -61,17 +68,13 @@ class TestLeadingFormPositive:
             norm = (1 + t * t) ** 2
             assert value >= bound * norm
 
-    def test_not_homogeneous(self):
-        with pytest.raises(NotHomogeneous):
-            leading_form_positive(X + BivariatePoly.constant(1))
-
     def test_odd_degree(self):
-        with pytest.raises(OddDegree):
-            leading_form_positive(X * R2)
+        with pytest.raises(NonPositiveLeadingForm, match="odd-degree"):
+            leading_dominance(X * R2)
 
     def test_constant_form(self):
-        assert leading_form_positive(BivariatePoly.constant(5)) == 5
-        assert leading_form_positive(BivariatePoly.constant(-5)) is None
+        assert circle_bound(BivariatePoly.constant(5)) == 5
+        assert circle_bound(BivariatePoly.constant(-5)) is None
 
 
 class TestLeadingDominance:
@@ -177,7 +180,7 @@ class TestGlobalPositivity:
         assert PositivityCertificate.from_obj(cert.to_obj()) == cert
 
 
-def fresh_tree_positivity(w, max_depth=None):
+def fresh_tree_positivity(w, max_depth=DEFAULT_MAX_DEPTH):
     """global_positivity built directly: a fresh tree of w itself, bounded
     from scratch and walked at offset 0, with no memo and no shift by
     w(0,0)."""
@@ -188,8 +191,8 @@ def fresh_tree_positivity(w, max_depth=None):
         if c <= 0:
             return PositivityRefutation((Fraction(0), Fraction(0)), c)
         return PositivityCertificate(c, Fraction(0), (), 0)
-    tree = _BoxTree(w, DEFAULT_MAX_DEPTH if max_depth is None else max_depth)
-    outcome = tree.traverse(Fraction(0))
+    tree = _BoxTree(w)
+    outcome = tree.traverse(Fraction(0), max_depth)
     if isinstance(outcome, PositivityRefutation):
         return outcome
     max_depth_used = max(depth for _, _, depth, _ in outcome)
@@ -208,7 +211,7 @@ def fresh_tree_positivity(w, max_depth=None):
     return PositivityCertificate(tree.bound, Fraction(radius), cells, max_depth_used)
 
 
-def outcome_or_error(fn, w, max_depth=None):
+def outcome_or_error(fn, w, max_depth=DEFAULT_MAX_DEPTH):
     try:
         return fn(w, max_depth)
     except Inconclusive as exc:
@@ -254,12 +257,12 @@ class TestBoxTreeMemo:
         shifted = W_REF + BivariatePoly.constant(Fraction(7, 3))  # same tree as W_REF
         calls = [
             (W_REF, 3),
-            (W_REF, None),
-            (W_SEARCH, None),
-            (W_REF, None),
+            (W_REF, DEFAULT_MAX_DEPTH),
+            (W_SEARCH, DEFAULT_MAX_DEPTH),
+            (W_REF, DEFAULT_MAX_DEPTH),
             (W_REF, 3),
-            (shifted, None),
-            (W_REF - BivariatePoly.constant(161), None),
+            (shifted, DEFAULT_MAX_DEPTH),
+            (W_REF - BivariatePoly.constant(161), DEFAULT_MAX_DEPTH),
             (W_SEARCH, 5),
             (W_REF, 8),
         ]
@@ -268,11 +271,14 @@ class TestBoxTreeMemo:
             assert outcome_or_error(global_positivity, w, depth) == expected, (w, depth)
 
     def test_tree_is_shared_by_constant_shifts_only(self):
-        tree, w0 = positivity.box_tree(W_REF, None)
+        tree, w0 = positivity.box_tree(W_REF)
         assert w0 == 160
-        assert positivity.box_tree(W_REF + BivariatePoly.constant(-3), None) == (tree, 157)
-        assert positivity.box_tree(W_REF, 12)[0] is not tree
-        assert positivity.box_tree(W_REF, None)[0] is not tree  # the memo holds one entry
+        assert positivity.box_tree(W_REF + BivariatePoly.constant(-3)) == (tree, 157)
+        for depth in (3, 12, DEFAULT_MAX_DEPTH):  # one tree serves every depth limit
+            outcome_or_error(global_positivity, W_REF, depth)
+            assert positivity.box_tree(W_REF)[0] is tree
+        assert positivity.box_tree(W_SEARCH)[0] is not tree
+        assert positivity.box_tree(W_REF)[0] is not tree  # the memo holds one entry
 
 
 @pytest.fixture
@@ -304,7 +310,7 @@ def test_closing_certification_bounds_no_box(bounds_calls):
 def test_certifying_w_at_a_non_default_depth_bounds_no_box(monkeypatch, bounds_calls):
     during_certification = []
 
-    def certify(w, max_depth=None):
+    def certify(w, max_depth=DEFAULT_MAX_DEPTH):
         before = bounds_calls[0]
         outcome = global_positivity(w, max_depth)
         during_certification.append(bounds_calls[0] - before)
@@ -315,6 +321,16 @@ def test_certifying_w_at_a_non_default_depth_bounds_no_box(monkeypatch, bounds_c
     assert record.positivity == "certified"
     assert during_certification == [0]
     assert bounds_calls[0] > 0
+
+
+def test_one_tree_serves_every_depth_limit(bounds_calls):
+    global_positivity(W_REF)
+    bounded = bounds_calls[0]
+    outcomes = {depth: outcome_or_error(global_positivity, W_REF, depth) for depth in (12, 3)}
+    assert bounds_calls[0] == bounded
+    assert outcomes[3][0] == "Inconclusive"
+    for depth, outcome in outcomes.items():
+        assert outcome == outcome_or_error(fresh_tree_positivity, W_REF, depth)
 
 
 def test_example_2_bounds_each_box_once(bounds_calls):

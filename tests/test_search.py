@@ -55,7 +55,7 @@ def test_draw_pair_stream_is_pinned(degree):
     assert digest == DRAW_PAIR_SHA256[degree]
 
 
-def reference_min_positive_constant(f, max_depth=None):
+def reference_min_positive_constant(f, max_depth=DEFAULT_MAX_DEPTH):
     """The constant bisection with one full global_positivity(F + c) per
     probe, handing on the last certifying probe's certificate."""
 
@@ -72,10 +72,10 @@ def reference_min_positive_constant(f, max_depth=None):
     while certificate is None:
         lo = hi
         hi = hi * 2
-        if hi > search.DOUBLING_CAP:
-            raise Inconclusive(max_depth, f"no certifiable constant up to {search.DOUBLING_CAP}")
+        if hi > positivity.DOUBLING_CAP:
+            raise Inconclusive(max_depth, f"no certifiable constant up to {positivity.DOUBLING_CAP}")
         certificate = certify(hi)
-    while (lo == 0 and hi > search.REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
+    while (lo == 0 and hi > positivity.REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
         mid = (lo + hi) / 2
         probe = certify(mid)
         if probe is None:
@@ -85,30 +85,32 @@ def reference_min_positive_constant(f, max_depth=None):
     return hi, certificate
 
 
-def certified_min_positive_constant(f, max_depth=None):
+def certified_min_positive_constant(f, *depth):
     """search.min_positive_constant's C with the certificate of F + C."""
-    constant = search.min_positive_constant(f, max_depth)
-    return constant, global_positivity(f + BivariatePoly.constant(constant), max_depth)
+    constant = search.min_positive_constant(f, *depth)
+    return constant, global_positivity(f + BivariatePoly.constant(constant), *depth)
 
 
-def constant_search_outcome(find, f, max_depth):
+def constant_search_outcome(find, f, *depth):
     try:
-        constant, certificate = find(f, max_depth)
+        constant, certificate = find(f, *depth)
     except (Inconclusive, NonPositiveLeadingForm) as exc:
         return type(exc).__name__, str(exc)
     return constant, certificate.to_obj()
 
 
 # (degree, seed) of oriented pairs from search's generator; f - 40 has a
-# negative constant term, f + 1/3 a non-dyadic one
+# negative constant term, f + 1/3 a non-dyadic one; max_depth None leaves
+# the depth limit at its default
 @pytest.mark.parametrize("shift", [0, 3, -40, Fraction(1, 3)], ids=["f", "f+3", "f-40", "f+1/3"])
 @pytest.mark.parametrize("max_depth", [None, 12])
 @pytest.mark.parametrize("degree,seed", [(2, 5), (2, 7), (3, 6)])
 def test_min_positive_constant_matches_one_global_positivity_per_probe(degree, seed, max_depth, shift):
     _, f = search.orient_for_positivity(search._draw_pair(random.Random(seed), degree, 5))
     f = f + BivariatePoly.constant(shift)
-    expected = constant_search_outcome(reference_min_positive_constant, f, max_depth)
-    assert constant_search_outcome(certified_min_positive_constant, f, max_depth) == expected
+    depth = () if max_depth is None else (max_depth,)
+    expected = constant_search_outcome(reference_min_positive_constant, f, *depth)
+    assert constant_search_outcome(certified_min_positive_constant, f, *depth) == expected
 
 
 def test_min_positive_constant_stops_at_the_doubling_cap():
@@ -128,7 +130,7 @@ def test_min_positive_constant_returns_the_certificate_of_f_plus_c(seed):
     _, f = search.orient_for_positivity(degree2_pair(seed))
     constant = search.min_positive_constant(f)
     assert isinstance(global_positivity(f + BivariatePoly.constant(constant)), PositivityCertificate)
-    assert constant > search.REFINE_FLOOR
+    assert constant > positivity.REFINE_FLOOR
     try:
         half = global_positivity(f + BivariatePoly.constant(constant / 2))
     except Inconclusive:
@@ -172,8 +174,8 @@ def test_run_trial_records_a_pair_without_positive_orientation():
 
 def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
     # every probe of the constant search walks the box tree
-    def never_certifies(tree, offset):
-        raise Inconclusive(tree.depth_limit)
+    def never_certifies(tree, offset, depth_limit):
+        raise Inconclusive(depth_limit)
 
     monkeypatch.setattr(positivity._BoxTree, "traverse", never_certifies)
     record = search.run_trial(0, degree2_pair(1))
@@ -182,7 +184,7 @@ def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
 
 def test_run_trial_propagates_every_other_error(monkeypatch):
     # a built W that does not certify is a pipeline defect, not a failed trial
-    def refutes(w, max_depth=None):
+    def refutes(w, max_depth=DEFAULT_MAX_DEPTH):
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
 
     monkeypatch.setattr(search, "global_positivity", refutes)
@@ -200,7 +202,7 @@ def test_sweep_sorts_by_decay_then_w_degree_then_trial(monkeypatch):
     # (u_decay, W_degree) per trial; -1 marks a failure record
     shapes = [(2, 4), (4, 6), (4, 4), (-1, -1), (2, 4), (4, 4)]
 
-    def fake_trial(trial, seeds, max_depth=None):
+    def fake_trial(trial, seeds, max_depth=DEFAULT_MAX_DEPTH):
         u_decay, w_degree = shapes[trial]
         return search.SearchRecord(trial, {}, Fraction(1), u_decay, 0, "certified", w_degree, True)
 
@@ -215,7 +217,7 @@ def test_example_certifies_w_once(monkeypatch, ident, calls):
     # global_positivity; only the chosen W is certified
     seen = []
 
-    def counting(w, max_depth=None):
+    def counting(w, max_depth=DEFAULT_MAX_DEPTH):
         seen.append(w)
         return global_positivity(w, max_depth)
 
