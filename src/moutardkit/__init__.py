@@ -19,7 +19,6 @@ from .construct import (
     transform_family,
     verify_lemma,
 )
-from .darboux import DarbouxStep, darboux_step, rational_chain, transform_solution
 from .decay import DecayReport, decay_exponent, l2_membership
 from .errors import MoutardKitError
 from .gallery import get_example
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BivariatePoly",
     "ClosedOneForm",
-    "DarbouxStep",
     "DecayReport",
     "DoubleMoutardResult",
     "HarmonicCombo",
@@ -60,7 +58,6 @@ __all__ = [
     "SearchRecord",
     "SeedPair",
     "calibrate_against",
-    "darboux_step",
     "decay_exponent",
     "double_transform",
     "get_example",
@@ -75,11 +72,9 @@ __all__ = [
     "numeric_l2_norm",
     "numeric_residual",
     "random_combo",
-    "rational_chain",
     "solution_one_form",
     "sweep",
     "transform_family",
-    "transform_solution",
     "uniform_grid",
     "verify_example_full",
     "verify_lemma",

@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: example, transform, verify, positivity, sample, search,
-darboux1d. Every run is deterministic given its flags; exit status is 0
-for success/true, 1 for verified-false/refuted, 2 for usage or input
-errors (an unwritable --out too), 3 for an inconclusive branch-and-bound
-or a leading form that is not positive definite, and 141 (128 + SIGPIPE,
-what a shell reports for a killed writer) when the reader of stdout
-closed it early, as `| head` does.
+Subcommands: example, transform, verify, positivity, sample, search.
+Every run is deterministic given its flags; exit status is 0 for
+success/true, 1 for verified-false/refuted, 2 for usage or input errors
+(an unwritable --out too), 3 for an inconclusive branch-and-bound or a
+leading form that is not positive definite, and 141 (128 + SIGPIPE, what
+a shell reports for a killed writer) when the reader of stdout closed it
+early, as `| head` does.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import construct, darboux, search, serialization
+from . import construct, search, serialization
 from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
 from .polynomials import RationalFn, _int_eval, _integer_point
 from .positivity import DEFAULT_MAX_DEPTH, PositivityCertificate, global_positivity
@@ -196,13 +196,6 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_darboux1d(args) -> int:
-    chain = darboux.rational_chain(args.steps)
-    obj = {"chain": [serialization.rationalfn1d_to_obj(u) for u in chain]}
-    _emit(serialization.dumps(obj), args.out)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moutardkit",
@@ -261,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_max_depth(p)
     p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("darboux1d", help="the one-dimensional chain of potentials")
-    p.add_argument("--steps", type=_int_at_least(1), default=5)
-    add_common(p)
-    p.set_defaults(func=cmd_darboux1d)
 
     return parser
 

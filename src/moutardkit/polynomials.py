@@ -9,9 +9,7 @@ gcd; `fractions.Fraction` values are built only from user input and for
 output (`items`, `coefficient`, `evaluate`). The canonical term order used
 everywhere (serialization, golden tests) is graded lexicographic:
 ascending total degree, ties broken by ascending x-exponent. A univariate
-polynomial is a y-free one (every exponent pair is (i, 0)), and a
-univariate rational function a y-free `RationalFn`, whose `laplacian` is
-then its second derivative.
+polynomial is a y-free one (every exponent pair is (i, 0)).
 
 Products and exact quotients use Kronecker substitution on the stored
 integers: term (i, j) becomes the signed slot i*S + j of width k bits,
@@ -396,10 +394,6 @@ class RationalFn:
     def zero(cls) -> "RationalFn":
         return cls(BivariatePoly.zero())
 
-    @classmethod
-    def constant(cls, value: RationalLike) -> "RationalFn":
-        return cls(BivariatePoly.constant(value))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
@@ -458,7 +452,3 @@ class RationalFn:
         num = {e: c * self.den._den for e, c in self.num._ints.items()}
         den = {e: c * self.num._den for e, c in self.den._ints.items()}
         return num, den, max(self.num.degree, self.den.degree)
-
-    def cancel_factor(self, factor: BivariatePoly) -> "RationalFn":
-        """Divide numerator and denominator by a factor known to divide both."""
-        return RationalFn(self.num.div_exact(factor), self.den.div_exact(factor))

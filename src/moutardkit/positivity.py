@@ -300,22 +300,23 @@ def box_tree(w: BivariatePoly) -> Tuple[_BoxTree, Fraction]:
 def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> PositivityOutcome:
     """Certify w > 0 on the whole plane, or produce a refuting point.
 
-    Outside the cutoff radius R the leading form dominates, and [-R, R]^2
-    is covered by bisection with exact centered-form bounds. This runs on
-    `box_tree(w)`, the tree of G = w - w(0,0), at offset w(0,0); the
-    outcome is the one of w's own tree. For w(0,0) > 0, R is G's, because
-    a positive constant term is left out of the tail sum, and every box's
-    centre and lower bound shift by w(0,0). For w(0,0) <= 0 the root box's
-    centre, the origin, refutes with value w(0,0) either way. Cells are
-    returned in canonical order so the certificate is independent of the
-    processing schedule.
+    The origin comes first: w(0,0) <= 0 is refuted there, whatever w's
+    leading form, and a positive constant is certified with no cells.
+    Otherwise the leading form must dominate outside the cutoff radius R
+    (NonPositiveLeadingForm when it cannot), and [-R, R]^2 is covered by
+    bisection with exact centered-form bounds. This runs on `box_tree(w)`,
+    the tree of G = w - w(0,0), at offset w(0,0), and gives the outcome of
+    w's own tree: a positive constant term is left out of the tail sum, so
+    R is G's, and every box's centre and lower bound shift by w(0,0).
+    Cells are returned in canonical order so the certificate is
+    independent of the processing schedule.
     """
-    if w.degree <= 0:
-        c = w.coefficient(0, 0)
-        if c <= 0:
-            return PositivityRefutation((Fraction(0), Fraction(0)), c)
-        return PositivityCertificate(c, Fraction(0), (), 0)
-    tree, w0 = box_tree(w)
+    w0 = w.coefficient(0, 0)
+    if w0 <= 0:
+        return PositivityRefutation((Fraction(0), Fraction(0)), w0)
+    if w.degree == 0:
+        return PositivityCertificate(w0, Fraction(0), (), 0)
+    tree, _ = box_tree(w)
     outcome = tree.traverse(w0, max_depth)
     if isinstance(outcome, PositivityRefutation):
         return outcome
@@ -339,16 +340,18 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
 
 
 def min_positive_constant(f: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> Fraction:
-    """A constant C that makes F + C globally positive, within a factor of
-    two of the least value this bisection can certify.
+    """The smallest power of two C in [REFINE_FLOOR, DOUBLING_CAP] that
+    makes F + C certifiably positive; raising the offset never undoes a
+    certification, so a walk over the powers of two finds it.
 
-    Brackets from [0, 1] by doubling until certification succeeds (cap
-    2^64), then bisects; a probe that is refuted or comes back
-    Inconclusive counts as not certifiable at the depth limit. Every probe
-    walks `box_tree(f)` at offset c + F(0,0), which decides F + c exactly
-    as `global_positivity(F + c)` does, so certifying the W = F + C built
-    from the result bounds no box again. Building the tree raises
-    NonPositiveLeadingForm when no constant can work.
+    Probes c = 1 first. If it certifies, halves while c > REFINE_FLOOR and
+    c/2 certifies; otherwise doubles until a probe certifies, raising
+    Inconclusive once c passes DOUBLING_CAP. A probe that is refuted or
+    comes back Inconclusive counts as not certifiable at the depth limit.
+    Every probe walks `box_tree(f)` at offset c + F(0,0), which decides
+    F + c exactly as `global_positivity(F + c)` does, so certifying the
+    W = F + C built from the result bounds no box again. Building the tree
+    raises NonPositiveLeadingForm when no constant can work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
@@ -360,17 +363,14 @@ def min_positive_constant(f: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) 
         except Inconclusive:
             return False
 
-    lo = Fraction(0)
-    hi = Fraction(1)
-    while not certifies(hi):
-        lo = hi
-        hi = hi * 2
-        if hi > DOUBLING_CAP:
+    c = Fraction(1)
+    if certifies(c):
+        while c > REFINE_FLOOR and certifies(c / 2):
+            c /= 2
+        return c
+    while True:
+        c *= 2
+        if c > DOUBLING_CAP:
             raise Inconclusive(max_depth, f"no certifiable constant up to {DOUBLING_CAP}")
-    while (lo == 0 and hi > REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
-        mid = (lo + hi) / 2
-        if certifies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        if certifies(c):
+            return c

@@ -197,7 +197,7 @@ def run_trial(
     seeds: SeedPair,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SearchRecord:
-    """Orient, pick C by bisection, transform, and analyze one seed pair.
+    """Orient, pick C by the constant search, transform, and analyze one seed pair.
 
     A pair without a positive orientation or a certifiable constant is
     recorded as a failure; every other error propagates.

@@ -59,17 +59,3 @@ def rationalfn_to_obj(f: RationalFn) -> dict:
 
 def obj_to_rationalfn(obj: dict) -> RationalFn:
     return RationalFn(obj_to_poly(obj["num"]), obj_to_poly(obj["den"]))
-
-
-def poly1d_to_obj(p: BivariatePoly) -> dict:
-    """The one-variable format of a y-free polynomial."""
-    terms = []
-    for (i, j), c in p.items():
-        if j:
-            raise ValueError(f"expected a y-free polynomial, got the term x^{i} y^{j}")
-        terms.append({"i": i, "num": str(c.numerator), "den": str(c.denominator)})
-    return {"vars": ["x"], "terms": terms}
-
-
-def rationalfn1d_to_obj(f: RationalFn) -> dict:
-    return {"num": poly1d_to_obj(f.num), "den": poly1d_to_obj(f.den)}

@@ -1,5 +1,6 @@
 """Command-line front end: exit statuses and golden stdout hashes."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -27,7 +28,6 @@ PAIR_D5_TRANSFORM_SHA256 = "1f0c62bbf28dc14d878f41218d58fedab452604bc3b0c37b9f87
 # SHA-256 of the stdout of `moutardkit ARGV...`, recorded with the
 # Fraction-based univariate polynomial type and Sturm chain
 GOLDEN_STDOUT_SHA256 = [
-    (("darboux1d", "--steps", "5"), "f7a8ef49759b861cbb54a17c6faaf2e06560d947ba516f8494709f1b2742e5d6"),
     (("example", "1"), "a864a8b4e66efd79fd65a170e5d834935f9e30dd3352cceb6cb7d20a24558bce"),
     (
         ("search", "--degree", "2", "--trials", "6", "--seed", "0"),
@@ -100,11 +100,6 @@ def test_closed_stdout_exits_quietly():
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
-def test_exit_ok(capsys):
-    assert run("darboux1d", "--steps", "2") == cli.EXIT_OK
-    assert json.loads(capsys.readouterr().out)["chain"]
-
-
 def test_exit_false_on_refuted_positivity(tmp_path, capsys):
     # x^2 + y^2 - 1 is negative at the origin
     poly = write_poly(tmp_path / "p.json", {(0, 0): (-1, 1), (2, 0): (1, 1), (0, 2): (1, 1)})
@@ -117,8 +112,8 @@ def test_exit_false_on_refuted_positivity(tmp_path, capsys):
     [
         ("search", "--degree", "3", "--trials", "0", "--seed", "0"),
         ("search", "--degree", "1", "--trials", "1", "--seed", "0"),
-        ("darboux1d", "--steps", "0"),
-        ("darboux1d", "--steps", "two"),
+        ("sample", "--fn", "f.json", "--resolution", "two"),
+        ("example", "3"),
         ("example", "1", "--max-depth", "-1"),
         ("search", "--degree", "2", "--trials", "1", "--seed", "0", "--max-depth", "-3"),
         ("sample", "--fn", "absent.json", "--resolution", "1"),
@@ -135,7 +130,6 @@ def test_exit_usage_on_out_of_range_flags(argv, capsys):
         ("transform", "--seeds", str(DATA / "pair_d5.json"), "--constant", "358"),
         ("verify", "--potential", "u.json", "--solution", "psi.json"),
         ("sample", "--fn", "f.json"),
-        ("darboux1d",),
     ],
     ids=lambda argv: argv[0],
 )
@@ -150,7 +144,7 @@ def test_exit_usage_on_missing_file(tmp_path, capsys):
 
 
 def test_exit_usage_on_unwritable_out(tmp_path, capsys):
-    assert run("darboux1d", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert run("example", "1", "--out", str(tmp_path)) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert "cannot write" in captured.err and captured.out == ""
 
@@ -169,12 +163,26 @@ def test_exit_usage_on_unreadable_json(content, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "terms,value",
+    [({(1, 0): (1, 1)}, 0), ({(0, 0): (-1, 1), (2, 0): (-1, 1), (0, 2): (-1, 1)}, -1)],
+    ids=["x", "-1-x^2-y^2"],
+)
+def test_exit_false_at_the_origin_whatever_the_leading_form(terms, value, tmp_path, capsys):
+    # w(0,0) <= 0 refutes before the leading form is tested
+    assert run("positivity", "--poly", write_poly(tmp_path / "p.json", terms)) == cli.EXIT_FALSE
+    zero = {"num": "0", "den": "1"}
+    expected = {"point": [zero, zero], "value": {"num": str(value), "den": "1"}}
+    assert json.loads(capsys.readouterr().out)["refutation"] == expected
+
+
+@pytest.mark.parametrize(
     "terms",
-    [{(0, 0): (5, 1), (2, 0): (-1, 1), (0, 2): (-1, 1)}, {(1, 0): (1, 1)}],
-    ids=["5-x^2-y^2", "x"],
+    [{(0, 0): (5, 1), (2, 0): (-1, 1), (0, 2): (-1, 1)}],
+    ids=["5-x^2-y^2"],
 )
 def test_exit_inconclusive_on_a_leading_form_that_is_not_definite(terms, tmp_path, capsys):
-    # the certifier decides nothing here: x^2 + 1 takes the same path and is positive
+    # w(0,0) > 0, so the leading form decides, and it is not definite: the
+    # certifier decides nothing, as x^2 + 1 fails the same test and is positive
     assert run("positivity", "--poly", write_poly(tmp_path / "p.json", terms)) == cli.EXIT_INCONCLUSIVE
     captured = capsys.readouterr()
     assert captured.err.startswith("inconclusive: ") and captured.out == ""
@@ -190,9 +198,10 @@ def test_exit_inconclusive_at_depth_zero(tmp_path, capsys):
 
 
 def reference_files(tmp_path):
-    """Example 1's reference psi1 and W, and 1/x, as CLI input files."""
+    """Example 1's reference u, psi1 and W, and 1/x, as CLI input files."""
     ref = gallery.get_example(1).reference
     objs = {
+        "u": serialization.rationalfn_to_obj(ref.u),
         "psi1": serialization.rationalfn_to_obj(ref.psi1),
         "w": serialization.poly_to_obj(ref.w_poly),
         "inv_x": serialization.rationalfn_to_obj(
@@ -222,13 +231,18 @@ REFERENCE_STDOUT_SHA256 = [
     ),
     # recorded with the Fraction evaluation loop, at the default resolution 101
     (("sample", "--fn", "psi1"), "cb4b658dc2378456c53bb7eda3b98f2303230516155d3c41fe8f2bc65ee30a99"),
+    # recorded with the one-dimensional darboux1d subcommand still in the parser
+    (
+        ("verify", "--potential", "u", "--solution", "psi1"),
+        "94a2355b92e4f5b81613ad40c0772989d0ce39fae3be990172241ef617e2b952",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     REFERENCE_STDOUT_SHA256,
-    ids=["sample-psi1", "sample-inv-x-poles", "positivity-w", "sample-psi1-default"],
+    ids=["sample-psi1", "sample-inv-x-poles", "positivity-w", "sample-psi1-default", "verify-u-psi1"],
 )
 def test_golden_stdout_on_reference_files(argv, digest, tmp_path, capsys):
     files = reference_files(tmp_path)
@@ -236,6 +250,15 @@ def test_golden_stdout_on_reference_files(argv, digest, tmp_path, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
     assert ("warning: 3 grid points hit a pole" in captured.err) == ("inv_x" in argv)
+
+
+def test_every_subcommand_has_a_golden_stdout_pin():
+    (subcommands,) = [
+        action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    pinned = {argv[0] for argv, _ in GOLDEN_STDOUT_SHA256 + REFERENCE_STDOUT_SHA256}
+    # transform's pin is PAIR_D5_TRANSFORM_SHA256
+    assert set(subcommands.choices) - pinned - {"transform"} == set()
 
 
 ONE_OBJ = poly_obj({(0, 0): (1, 1)})

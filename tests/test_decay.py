@@ -39,6 +39,10 @@ class TestDecayExponent:
         assert report.exponent == 1
         assert not report.bound_valid
 
+    def test_polynomial_has_a_valid_bound(self):
+        # the denominator is the constant 1, whose circle bound is 1
+        assert decay_exponent(RationalFn(X)) == DecayReport(-1, True, True)
+
     def test_zero_numerator(self):
         report = decay_exponent(RationalFn(BivariatePoly.zero(), ONE + X * X))
         assert report.exponent == 2

@@ -188,11 +188,6 @@ class TestRationalFn:
         f = RationalFn(ONE, X)
         assert (f + (-f)).equals(RationalFn.zero())
 
-    def test_cancel_factor(self):
-        f = RationalFn(X * X * Y, X * X * X)
-        reduced = f.cancel_factor(X * X)
-        assert reduced.num == Y and reduced.den == X
-
 
 @settings(max_examples=30, deadline=None)
 @given(polys, polys, polys)

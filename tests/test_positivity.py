@@ -53,6 +53,8 @@ class TestLeadingFormPositive:
 
     def test_semidefinite_fails(self):
         assert circle_bound(X * X * Y * Y) is None
+        # positive on the circle except at (0, +-1), where only a0 = 0 shows it
+        assert circle_bound(X**4 + X * X * Y * Y) is None
 
     def test_negative_definite_fails(self):
         assert circle_bound(-R2) is None
@@ -157,6 +159,15 @@ class TestGlobalPositivity:
     def test_indefinite_leading_form(self):
         with pytest.raises(NonPositiveLeadingForm):
             global_positivity(X * X - Y * Y + BivariatePoly.constant(50))
+
+    @pytest.mark.parametrize(
+        "w",
+        [-R2 - BivariatePoly.constant(1), X, X * X - Y * Y],
+        ids=["-1-x^2-y^2", "x", "x^2-y^2"],
+    )
+    def test_refuted_at_the_origin_whatever_the_leading_form(self, w):
+        expected = PositivityRefutation((Fraction(0), Fraction(0)), w.coefficient(0, 0))
+        assert global_positivity(w) == expected
 
     def test_depth_limit_is_explicit(self):
         for depth in (0, 7):

@@ -78,13 +78,3 @@ def test_poly_rejects_repeated_terms():
 def test_poly_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         ser.obj_to_poly({"vars": ["x", "y"], "terms": [{"i": 2, "j": 0, "num": "1", "den": "0"}]})
-
-
-def test_poly1d_rejects_y_terms():
-    p = BivariatePoly({(0, 0): Fraction(2), (5, 0): Fraction(-7, 3)})
-    assert ser.poly1d_to_obj(p) == {
-        "vars": ["x"],
-        "terms": [{"i": 0, "num": "2", "den": "1"}, {"i": 5, "num": "-7", "den": "3"}],
-    }
-    with pytest.raises(ValueError):
-        ser.poly1d_to_obj(p + BivariatePoly.monomial(0, 1))
