@@ -9,12 +9,14 @@ from the exponent, plus whether the rate is attained along generic rays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from .errors import NonPositiveLeadingForm
 from .polynomials import RationalFn
 from .positivity import (
     PositivityCertificate,
     PositivityOutcome,
+    TwoSquareProof,
     global_positivity,
     leading_dominance,
 )
@@ -58,12 +60,18 @@ def decay_exponent(f: RationalFn) -> DecayReport:
     return DecayReport(exponent=exponent, bound_valid=valid, exact_on_generic_ray=exact)
 
 
-def square_summable(report: DecayReport, den_outcome: PositivityOutcome) -> bool:
+def square_summable(
+    report: DecayReport, den_outcome: Union[PositivityOutcome, TwoSquareProof]
+) -> bool:
     """The L2 rule: psi = N/D is certifiably square-summable over the plane
     iff D is certified positive (no real poles) and psi's decay bound is
     valid with exponent >= 2 (then the radial integral of |psi|^2 converges).
+    A box certificate, or a two-square proof with a positive floor,
+    certifies D.
     """
-    certified = isinstance(den_outcome, PositivityCertificate)
+    certified = isinstance(den_outcome, PositivityCertificate) or (
+        isinstance(den_outcome, TwoSquareProof) and den_outcome.floor > 0
+    )
     return certified and report.bound_valid and report.exponent >= 2
 
 

@@ -1,12 +1,15 @@
 """Exact global positivity of bivariate polynomials: the one module that
 knows the circle test and the box tree.
 
-Callers ask three things. `leading_dominance(p)` bounds p's leading form
+Callers ask four things. `leading_dominance(p)` bounds p's leading form
 on the unit circle through Sturm sequences (the only circle test) and
 gives the coefficient-sum tail that makes the leading term dominate.
 `global_positivity(w, max_depth)` certifies w > 0 on the plane or refutes
-it at a rational point. `min_positive_constant(f, max_depth)` finds a
-constant C that makes f + C certifiable.
+it at a rational point. `two_squares(w, p, q)` checks the identity
+w = w(0,0) + mu*(p^2 + q^2) with mu > 0, which proves w >= w(0,0) with no
+box at all. `min_positive_constant(f, max_depth, square)` finds a
+constant C that makes f + C certifiable, by that identity when a hint
+(p, q) verifies and otherwise by the box tree.
 
 Inside the cutoff radius the plane is covered by branch-and-bound with
 centered-form bounds, on integers: boxes are dyadic cells of the root
@@ -99,6 +102,40 @@ class PositivityRefutation:
 
 
 PositivityOutcome = Union[PositivityCertificate, PositivityRefutation]
+
+
+@dataclass(frozen=True)
+class TwoSquareProof:
+    """The identity w = floor + mu*(p^2 + q^2) with rational mu > 0.
+
+    p and q are real polynomials, so w >= floor on the whole plane; the
+    proof shows w > 0 exactly when floor > 0.
+    """
+
+    p: BivariatePoly
+    q: BivariatePoly
+    mu: Fraction
+    floor: Fraction
+
+
+def two_squares(w: BivariatePoly, p: BivariatePoly, q: BivariatePoly) -> Optional[TwoSquareProof]:
+    """The proof that w - w(0,0) = mu*(p^2 + q^2) for a rational mu > 0,
+    or None when no such mu exists.
+
+    The hint (p, q) is checked, never trusted: mu is read off one
+    coefficient of p^2 + q^2 and the whole identity is then compared
+    exactly. Nothing else about p and q is assumed.
+    """
+    s = p * p + q * q
+    if s.is_zero:
+        return None
+    floor = w.coefficient(0, 0)
+    g = w - BivariatePoly.constant(floor)
+    (i, j), coeff = next(s.items())
+    mu = g.coefficient(i, j) / coeff
+    if mu <= 0 or g != s.scale(mu):
+        return None
+    return TwoSquareProof(p, q, mu, floor)
 
 
 def _circle_bound(lead: BivariatePoly, d: int) -> Optional[Fraction]:
@@ -339,22 +376,37 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
     return PositivityCertificate(tree.bound, Fraction(radius), cells, max_depth_used)
 
 
-def min_positive_constant(f: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> Fraction:
+def min_positive_constant(
+    f: BivariatePoly,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    square: Optional[Tuple[BivariatePoly, BivariatePoly]] = None,
+) -> Fraction:
     """The smallest power of two C in [REFINE_FLOOR, DOUBLING_CAP] that
     makes F + C certifiably positive; raising the offset never undoes a
     certification, so a walk over the powers of two finds it.
 
-    Probes c = 1 first. If it certifies, halves while c > REFINE_FLOOR and
-    c/2 certifies; otherwise doubles until a probe certifies, raising
-    Inconclusive once c passes DOUBLING_CAP. A probe that is refuted or
-    comes back Inconclusive counts as not certifiable at the depth limit.
-    Every probe walks `box_tree(f)` at offset c + F(0,0), which decides
+    Certifiably means by the two-square identity or by the box tree. When
+    the hint square = (p, q) verifies as `two_squares(f, p, q)` with
+    F(0,0) = 0, then F >= 0 and every c > 0 certifies: the answer is
+    REFINE_FLOOR at every depth limit, and no box is bounded. A hint that
+    does not verify, or verifies with F(0,0) != 0, leaves the search to
+    the box tree exactly as without one.
+
+    The walk probes c = 1 first. If it certifies, halves while
+    c > REFINE_FLOOR and c/2 certifies; otherwise doubles until a probe
+    certifies, raising Inconclusive once c passes DOUBLING_CAP. A probe
+    that is refuted or comes back Inconclusive counts as not certifiable
+    at the depth limit. Every probe walks `box_tree(f)` at offset c + F(0,0), which decides
     F + c exactly as `global_positivity(F + c)` does, so certifying the
     W = F + C built from the result bounds no box again. Building the tree
     raises NonPositiveLeadingForm when no constant can work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
+    if square is not None:
+        proof = two_squares(f, *square)
+        if proof is not None and proof.floor == 0:
+            return REFINE_FLOOR
     tree, f0 = box_tree(f)
 
     def certifies(c: Fraction) -> bool:

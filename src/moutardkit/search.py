@@ -12,6 +12,12 @@ built and reads the L2 flags of psi_i off that certificate. C comes from
 `positivity.min_positive_constant` (re-exported here) or from an
 example's reference closed form. Every positivity question goes to
 `positivity`; this module never sees a box.
+
+Over u0 = 0 both questions carry the hint (omega1, conj(omega1)). On a
+conjugate-type pair, omega2 = conj(omega1) + t*omega1, `positivity.two_squares`
+verifies F = mu*(omega1^2 + conj(omega1)^2) with mu > 0: C is then
+REFINE_FLOOR with no box, and the proof W >= C > 0 is W's certificate in
+a sweep. `example` still prints W's box certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .construct import (
     DoubleMoutardResult,
@@ -37,9 +43,11 @@ from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
     DEFAULT_MAX_DEPTH,
     PositivityCertificate,
+    TwoSquareProof,
     global_positivity,
     leading_dominance,
     min_positive_constant,
+    two_squares,
 )
 from .serialization import fraction_to_obj, poly_to_obj
 
@@ -99,6 +107,18 @@ def orient_for_positivity(seeds: SeedPair) -> Tuple[SeedPair, BivariatePoly]:
         return seeds.swapped(), -f
 
 
+def _square_hint(oriented: SeedPair) -> Optional[Tuple[BivariatePoly, BivariatePoly]]:
+    """(omega1, conj(omega1)) over u0 = 0, else None.
+
+    Any a in span{omega1, conj(omega1)} has a^2 + conj(a)^2 proportional
+    to omega1^2 + conj(omega1)^2, so one hint serves either orientation of
+    a conjugate-type pair. It is only a hint: `two_squares` checks it.
+    """
+    if not oriented.u0.num.is_zero:
+        return None
+    return oriented.omega1, conjugate(oriented.omega1)
+
+
 def _record_failure(
     trial: int, seeds: SeedPair, error: MoutardKitError
 ) -> SearchRecord:
@@ -148,7 +168,7 @@ class TrialReport:
 
     record: SearchRecord
     result: DoubleMoutardResult
-    certificate: PositivityCertificate
+    certificate: Union[PositivityCertificate, TwoSquareProof]
     u_report: DecayReport
     psi1_report: DecayReport
     psi2_report: DecayReport
@@ -157,16 +177,26 @@ class TrialReport:
 
 
 def _certified_trial(
-    trial: int, oriented: SeedPair, constant: Fraction, max_depth: int
+    trial: int,
+    oriented: SeedPair,
+    constant: Fraction,
+    max_depth: int,
+    square: Optional[Tuple[BivariatePoly, BivariatePoly]] = None,
 ) -> TrialReport:
     """Transform an oriented pair with C, certify its W and analyze it.
 
     psi1 and psi2 have denominator W, so their L2 flags read W's
-    certificate. A W that does not certify raises VerificationFailed.
+    certificate: the two-square proof of the hint when it verifies with a
+    positive floor, else the box certificate. A W that does not certify
+    raises VerificationFailed.
     """
     result = double_transform(oriented, constant)
-    certificate = global_positivity(result.w_poly, max_depth)
-    _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
+    proof = None if square is None else two_squares(result.w_poly, *square)
+    if proof is not None and proof.floor > 0:
+        certificate = proof
+    else:
+        certificate = global_positivity(result.w_poly, max_depth)
+        _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
     u_report = decay_exponent(result.u)
     psi1_report = decay_exponent(result.psi1)
     psi2_report = decay_exponent(result.psi2)
@@ -204,10 +234,11 @@ def run_trial(
     """
     try:
         oriented, f = orient_for_positivity(seeds)
-        constant = min_positive_constant(f, max_depth)
+        square = _square_hint(oriented)
+        constant = min_positive_constant(f, max_depth, square)
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
-    return _certified_trial(trial, oriented, constant, max_depth).record
+    return _certified_trial(trial, oriented, constant, max_depth, square).record
 
 
 def sweep(
@@ -247,14 +278,16 @@ def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Trial
     """Run the whole pipeline on a built-in example and assert its claims.
 
     An example with a reference closed form calibrates C against it; one
-    without takes C from `min_positive_constant`. Either way
-    `_certified_trial` certifies W once.
+    without takes C from `min_positive_constant`, whose square hint spares
+    a conjugate-type example the probe walks. Either way
+    `_certified_trial` certifies W once, by the box tree, since `example`
+    prints that certificate.
     """
     example = get_example(ident)
     oriented, f = orient_for_positivity(example.seeds)
     ref = example.reference
     if ref is None:
-        constant = min_positive_constant(f, max_depth)
+        constant = min_positive_constant(f, max_depth, _square_hint(oriented))
     else:
         lam, c_total = calibrate_against(f, ref.w_poly)
         constant = c_total / lam

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,20 @@ def test_golden_transform_degree5(capsys):
 def test_golden_stdout(argv, digest, capsys):
     assert run(*argv) == cli.EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_search_proves_conjugate_type_trials_at_any_depth_limit(capsys):
+    # at depth 2 the box tree certifies these six trials only at C = 2^32 to
+    # 2^39; trials 0-4 are conjugate-type and their two-square identity
+    # proves C = 1/64 at any depth, while the generic trial 5 keeps 2^36
+    argv = ("search", "--degree", "3", "--trials", "6", "--seed", "0", "--max-depth", "2")
+    assert run(*argv) == cli.EXIT_OK
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    constants = {r["trial"]: serialization.obj_to_fraction(r["C"]) for r in records}
+    expected = {trial: Fraction(1, 64) for trial in range(5)}
+    expected[5] = Fraction(2**36)
+    assert constants == expected
+    assert all(r["positivity"] == "certified" and r["valid"] for r in records)
 
 
 def test_closed_stdout_exits_quietly():

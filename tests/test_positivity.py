@@ -8,15 +8,18 @@ import pytest
 from moutardkit import positivity, search
 from moutardkit.errors import Inconclusive, NonPositiveLeadingForm
 from moutardkit.gallery import get_example
+from moutardkit.harmonic import conjugate
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
     DEFAULT_MAX_DEPTH,
     CertifiedCell,
     PositivityCertificate,
     PositivityRefutation,
+    TwoSquareProof,
     _BoxTree,
     global_positivity,
     leading_dominance,
+    two_squares,
 )
 
 X, Y = BivariatePoly.variables()
@@ -191,6 +194,71 @@ class TestGlobalPositivity:
         assert PositivityCertificate.from_obj(cert.to_obj()) == cert
 
 
+def conjugate_hint(omega):
+    return omega, conjugate(omega)
+
+
+# (degree, seed) of search._draw_pair pairs of conjugate type,
+# omega2 = conj(omega1) + t*omega1, and of generic type
+CONJUGATE_TYPE_PAIRS = [(2, 0), (2, 3), (2, 4), (3, 0), (3, 1), (3, 5)]
+GENERIC_PAIRS = [(2, 1), (2, 5), (3, 4)]
+
+
+def oriented_pair(degree, seed):
+    return search.orient_for_positivity(search._draw_pair(random.Random(seed), degree, 5))
+
+
+class TestTwoSquares:
+    @pytest.mark.parametrize("ident", [1, 2])
+    def test_accepts_the_paper_examples(self, ident):
+        oriented, f = search.orient_for_positivity(get_example(ident).seeds)
+        p, q = conjugate_hint(oriented.omega1)
+        proof = two_squares(f, p, q)
+        assert proof is not None and proof.mu > 0 and proof.floor == 0
+        assert f == (p * p + q * q).scale(proof.mu)
+
+    @pytest.mark.parametrize("degree,seed", CONJUGATE_TYPE_PAIRS)
+    def test_accepts_conjugate_type_pairs_with_either_seed_as_the_hint(self, degree, seed):
+        # a hint from omega1 or from omega2, whichever orientation search picks
+        pair = search._draw_pair(random.Random(seed), degree, 5)
+        _, f = search.orient_for_positivity(pair)
+        for omega in (pair.omega1, pair.omega2):
+            proof = two_squares(f, *conjugate_hint(omega))
+            assert proof is not None and proof.mu > 0 and proof.floor == 0
+
+    @pytest.mark.parametrize("degree,seed", GENERIC_PAIRS)
+    def test_rejects_a_generic_pair(self, degree, seed):
+        oriented, f = oriented_pair(degree, seed)
+        for omega in (oriented.omega1, oriented.omega2):
+            assert two_squares(f, *conjugate_hint(omega)) is None
+
+    def test_rejects_a_negative_multiple(self):
+        oriented, f = oriented_pair(3, 0)
+        assert two_squares(-f, *conjugate_hint(oriented.omega1)) is None
+
+    def test_rejects_a_second_square_that_is_not_the_conjugate(self):
+        oriented, f = oriented_pair(3, 0)
+        p, q = conjugate_hint(oriented.omega1)
+        assert two_squares(f, p, p) is None
+        assert two_squares(f, p, q.scale(2)) is None
+
+    def test_rejects_an_empty_hint(self):
+        zero = BivariatePoly.zero()
+        assert two_squares(R2, zero, zero) is None
+
+    def test_rejects_mu_zero(self):
+        # w - w(0,0) = 0 = 0*(x^2 + y^2), but mu must be positive
+        assert two_squares(BivariatePoly.constant(3), X, Y) is None
+
+    def test_rejects_a_positive_mu_that_fits_one_coefficient_only(self):
+        # x^2 + 2y^2: mu is positive whichever coefficient it is read off
+        assert two_squares(X * X + (Y * Y).scale(2), X, Y) is None
+
+    def test_floor_is_the_constant_term(self):
+        w = R2.scale(Fraction(3, 2)) + BivariatePoly.constant(-5)
+        assert two_squares(w, X, Y) == TwoSquareProof(X, Y, Fraction(3, 2), Fraction(-5))
+
+
 def fresh_tree_positivity(w, max_depth=DEFAULT_MAX_DEPTH):
     """global_positivity built directly: a fresh tree of w itself, bounded
     from scratch and walked at offset 0, with no memo and no shift by
@@ -347,3 +415,37 @@ def test_one_tree_serves_every_depth_limit(bounds_calls):
 def test_example_2_bounds_each_box_once(bounds_calls):
     search.verify_example_full(2)
     assert bounds_calls[0] == 1577
+
+
+def test_min_positive_constant_proves_a_verified_hint_with_no_box(bounds_calls):
+    # example 2 at depth 2: the box tree certifies nothing below 2^k, while
+    # the identity F = mu*(p^2 + q^2) proves F + 1/64 > 0 at every depth
+    oriented, f = search.orient_for_positivity(get_example(2).seeds)
+    hint = conjugate_hint(oriented.omega1)
+    for depth in (2, DEFAULT_MAX_DEPTH):
+        assert positivity.min_positive_constant(f, depth, hint) == positivity.REFINE_FLOOR
+    assert bounds_calls[0] == 0
+    assert positivity.min_positive_constant(f, 2) > 1
+
+
+@pytest.mark.parametrize("shift", [1, -3], ids=["f+1", "f-3"])
+def test_min_positive_constant_walks_the_box_tree_when_the_floor_is_not_zero(bounds_calls, shift):
+    # the identity still verifies for f + shift, but only F(0,0) = 0 is proved
+    # by it; the walk decides, exactly as without a hint
+    oriented, f = search.orient_for_positivity(get_example(2).seeds)
+    shifted = f + BivariatePoly.constant(shift)
+    hint = conjugate_hint(oriented.omega1)
+    assert two_squares(shifted, *hint).floor == shift
+    for depth in (2, DEFAULT_MAX_DEPTH):
+        hinted = outcome_or_error(
+            lambda g, d: positivity.min_positive_constant(g, d, square=hint), shifted, depth
+        )
+        assert hinted == outcome_or_error(positivity.min_positive_constant, shifted, depth)
+    assert bounds_calls[0] > 0
+
+
+def test_a_wrong_hint_never_certifies(bounds_calls):
+    oriented, f = search.orient_for_positivity(get_example(2).seeds)
+    p, q = conjugate_hint(oriented.omega1)
+    for hint in ((p, p), (p, q.scale(2)), (-q, p + q)):
+        assert positivity.min_positive_constant(f, 2, hint) == positivity.min_positive_constant(f, 2)

@@ -113,6 +113,18 @@ def test_min_positive_constant_matches_one_global_positivity_per_probe(degree, s
     assert constant_search_outcome(certified_min_positive_constant, f, *depth) == expected
 
 
+# (degree, seed) of conjugate-type pairs from search's generator:
+# omega2 = conj(omega1) + t*omega1, so F = mu*(omega1^2 + conj(omega1)^2)
+CONJUGATE_TYPE_PAIRS = [(2, 0), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("degree,seed", CONJUGATE_TYPE_PAIRS)
+def test_hinted_constant_is_the_box_tree_constant_at_the_default_depth(degree, seed):
+    oriented, f = search.orient_for_positivity(search._draw_pair(random.Random(seed), degree, 5))
+    hinted = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
+    assert hinted == reference_min_positive_constant(f)[0] == positivity.REFINE_FLOOR
+
+
 def test_min_positive_constant_stops_at_the_doubling_cap():
     # the minimum of x^2 + y^2 - 2^70 x is -2^138, far below -2^64
     f = X * X + Y * Y - X.scale(2**70)
@@ -183,13 +195,46 @@ def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
 
 
 def test_run_trial_propagates_every_other_error(monkeypatch):
-    # a built W that does not certify is a pipeline defect, not a failed trial
+    # a built W that does not certify is a pipeline defect, not a failed
+    # trial; the pair is generic, so its W goes to global_positivity
     def refutes(w, max_depth=DEFAULT_MAX_DEPTH):
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
 
     monkeypatch.setattr(search, "global_positivity", refutes)
     with pytest.raises(VerificationFailed, match="global positivity certificate for W"):
         search.run_trial(0, degree2_pair(1))
+
+
+@pytest.mark.parametrize("degree,seed", [(2, 0), (3, 0)])
+def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, seed):
+    # the record the box tree gives: constant search and W's certificate
+    # both without the hint
+    pair = search._draw_pair(random.Random(seed), degree, 5)
+    oriented, f = search.orient_for_positivity(pair)
+    constant = search.min_positive_constant(f)
+    boxed = search._certified_trial(seed, oriented, constant, DEFAULT_MAX_DEPTH)
+    assert isinstance(boxed.certificate, PositivityCertificate)
+
+    def no_box(tree, *args):
+        pytest.fail("bounded a box")
+
+    monkeypatch.setattr(positivity._BoxTree, "bounds", no_box)
+    monkeypatch.setattr(positivity, "_last_tree", None)
+    assert search.run_trial(seed, pair) == boxed.record
+    proved = search._certified_trial(
+        seed, oriented, constant, DEFAULT_MAX_DEPTH, search._square_hint(oriented)
+    )
+    assert proved.certificate.floor == constant
+    assert (proved.l2_psi1, proved.l2_psi2) == (boxed.l2_psi1, boxed.l2_psi2) == (True, True)
+
+
+def test_a_two_square_proof_with_floor_zero_does_not_certify_w():
+    # C = 0 leaves W = F = mu*(p^2 + q^2), which vanishes at the origin
+    oriented, _ = search.orient_for_positivity(search._draw_pair(random.Random(0), 3, 5))
+    with pytest.raises(VerificationFailed, match="global positivity certificate for W"):
+        search._certified_trial(
+            0, oriented, Fraction(0), DEFAULT_MAX_DEPTH, search._square_hint(oriented)
+        )
 
 
 def test_run_trial_certified_record():
