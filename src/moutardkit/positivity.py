@@ -8,8 +8,9 @@ gives the coefficient-sum tail that makes the leading term dominate.
 it at a rational point. `two_squares(w, p, q)` checks the identity
 w = w(0,0) + mu*(p^2 + q^2) with mu > 0, which proves w >= w(0,0) with no
 box at all. `min_positive_constant(f, max_depth, square)` finds a
-constant C that makes f + C certifiable, by that identity when a hint
-(p, q) verifies and otherwise by the box tree.
+constant C that makes f + C certifiable and returns it with the
+certificate of f + C: that identity when a hint (p, q) verifies, and
+otherwise the box certificate.
 
 Inside the cutoff radius the plane is covered by branch-and-bound with
 centered-form bounds, on integers: boxes are dyadic cells of the root
@@ -17,16 +18,16 @@ square and their bounds integers on a common scale, so `Fraction`s are
 built only for the cells and points reported. One box tree holds the
 bounds per box of G = w - w(0,0); no bound depends on the depth limit or
 on a constant offset, so the tree decides G + k for every constant k at
-every depth limit by integer comparisons. `box_tree` keeps the last tree
-in a one-entry memo keyed by G: the constant search probes F + c on it,
-and certifying the W = F + C built from its answer bounds no box again.
+every depth limit by integer comparisons. The constant search probes
+F + c on one tree of F's and builds the certificate of F + C from the
+cells of its last certifying probe, so nothing walks that tree again.
 `Inconclusive` is an explicit outcome, never treated as positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -213,7 +214,6 @@ class _BoxTree:
     """
 
     def __init__(self, f: BivariatePoly):
-        self.poly = f
         self.bound, lower_sum, _ = leading_dominance(f)
         self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
         self.denominator = f._den  # f = f._ints / denominator
@@ -315,23 +315,29 @@ class _BoxTree:
         return cells
 
 
-_last_tree: Optional[_BoxTree] = None
-
-
-def box_tree(w: BivariatePoly) -> Tuple[_BoxTree, Fraction]:
-    """(tree of G = w - w(0,0), w(0,0)) for a nonconstant w.
-
-    w + c is G + (w(0,0) + c), so the tree decides w + c for every constant
-    c at every depth limit. The last tree built is kept and returned again
-    for the same G, with every box it has bounded. Raises
-    NonPositiveLeadingForm when w's leading form is not positive definite.
-    """
-    global _last_tree
-    w0 = w.coefficient(0, 0)
-    g = w - BivariatePoly.constant(w0)
-    if _last_tree is None or _last_tree.poly != g:
-        _last_tree = _BoxTree(g)
-    return _last_tree, w0
+def _certificate(
+    tree: _BoxTree, offset: Fraction, cells: List[Tuple[int, int, int, int]]
+) -> PositivityCertificate:
+    """The certificate of f + offset, f the tree's polynomial, from the
+    cells `traverse` certified at that offset, in canonical order so it is
+    independent of the processing schedule."""
+    # sort on the integer corners over the common 2^top, then build each
+    # cell's Fractions once
+    max_depth_used = max(depth for _, _, depth, _ in cells)
+    top = (max_depth_used + 1) // 2
+    radius, d = tree.radius, tree.degree
+    scale = offset.denominator * tree.denominator
+    keyed = []
+    for i, j, depth, lower in cells:
+        s, px, qy, hy = tree.geometry(i, j, depth)
+        corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
+        keyed.append((corners, Fraction(lower, scale << s * d)))
+    keyed.sort(key=lambda cell: cell[0])
+    certified = tuple(
+        CertifiedCell(tuple(Fraction(v, 1 << top) for v in corners), lower)
+        for corners, lower in keyed
+    )
+    return PositivityCertificate(tree.bound, Fraction(radius), certified, max_depth_used)
 
 
 def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> PositivityOutcome:
@@ -341,88 +347,78 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
     leading form, and a positive constant is certified with no cells.
     Otherwise the leading form must dominate outside the cutoff radius R
     (NonPositiveLeadingForm when it cannot), and [-R, R]^2 is covered by
-    bisection with exact centered-form bounds. This runs on `box_tree(w)`,
-    the tree of G = w - w(0,0), at offset w(0,0), and gives the outcome of
-    w's own tree: a positive constant term is left out of the tail sum, so
-    R is G's, and every box's centre and lower bound shift by w(0,0).
-    Cells are returned in canonical order so the certificate is
-    independent of the processing schedule.
+    bisection with exact centered-form bounds. This runs on the tree of
+    G = w - w(0,0) at offset w(0,0), and gives the outcome of w's own
+    tree: a positive constant term is left out of the tail sum, so R is
+    G's, and every box's centre and lower bound shift by w(0,0).
     """
     w0 = w.coefficient(0, 0)
     if w0 <= 0:
         return PositivityRefutation((Fraction(0), Fraction(0)), w0)
     if w.degree == 0:
         return PositivityCertificate(w0, Fraction(0), (), 0)
-    tree, _ = box_tree(w)
+    tree = _BoxTree(w - BivariatePoly.constant(w0))
     outcome = tree.traverse(w0, max_depth)
     if isinstance(outcome, PositivityRefutation):
         return outcome
-    # sort on the integer corners over the common 2^top, then build each
-    # cell's Fractions once
-    max_depth_used = max(depth for _, _, depth, _ in outcome)
-    top = (max_depth_used + 1) // 2
-    radius, d = tree.radius, tree.degree
-    scale = w0.denominator * tree.denominator
-    keyed = []
-    for i, j, depth, lower in outcome:
-        s, px, qy, hy = tree.geometry(i, j, depth)
-        corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
-        keyed.append((corners, Fraction(lower, scale << s * d)))
-    keyed.sort(key=lambda cell: cell[0])
-    cells = tuple(
-        CertifiedCell(tuple(Fraction(v, 1 << top) for v in corners), lower)
-        for corners, lower in keyed
-    )
-    return PositivityCertificate(tree.bound, Fraction(radius), cells, max_depth_used)
+    return _certificate(tree, w0, outcome)
 
 
 def min_positive_constant(
     f: BivariatePoly,
     max_depth: int = DEFAULT_MAX_DEPTH,
     square: Optional[Tuple[BivariatePoly, BivariatePoly]] = None,
-) -> Fraction:
-    """The smallest power of two C in [REFINE_FLOOR, DOUBLING_CAP] that
-    makes F + C certifiably positive; raising the offset never undoes a
-    certification, so a walk over the powers of two finds it.
+) -> Tuple[Fraction, Union[PositivityCertificate, TwoSquareProof]]:
+    """(C, certificate of W = F + C) for the smallest power of two C in
+    [REFINE_FLOOR, DOUBLING_CAP] that makes F + C certifiably positive;
+    raising the offset never undoes a certification, so a walk over the
+    powers of two finds it.
 
     Certifiably means by the two-square identity or by the box tree. When
     the hint square = (p, q) verifies as `two_squares(f, p, q)` with
-    F(0,0) = 0, then F >= 0 and every c > 0 certifies: the answer is
-    REFINE_FLOOR at every depth limit, and no box is bounded. A hint that
-    does not verify, or verifies with F(0,0) != 0, leaves the search to
-    the box tree exactly as without one.
+    F(0,0) = 0, then F >= 0 and every c > 0 certifies: C is REFINE_FLOOR
+    at every depth limit, the certificate is that proof with floor C, and
+    no box is bounded. A hint that does not verify, or verifies with
+    F(0,0) != 0, leaves the search to the box tree exactly as without one.
 
     The walk probes c = 1 first. If it certifies, halves while
     c > REFINE_FLOOR and c/2 certifies; otherwise doubles until a probe
     certifies, raising Inconclusive once c passes DOUBLING_CAP. A probe
     that is refuted or comes back Inconclusive counts as not certifiable
-    at the depth limit. Every probe walks `box_tree(f)` at offset c + F(0,0), which decides
-    F + c exactly as `global_positivity(F + c)` does, so certifying the
-    W = F + C built from the result bounds no box again. Building the tree
-    raises NonPositiveLeadingForm when no constant can work.
+    at the depth limit. Every probe walks the tree of G = F - F(0,0) at
+    offset c + F(0,0), which decides F + c exactly as
+    `global_positivity(F + c)` does, and the certificate is built from the
+    cells of the last probe that certified: it equals
+    `global_positivity(F + C, max_depth)`. Building the tree raises
+    NonPositiveLeadingForm when no constant can work.
     """
     if f.degree <= 0:
         raise ValueError("needs a nonconstant polynomial")
     if square is not None:
         proof = two_squares(f, *square)
         if proof is not None and proof.floor == 0:
-            return REFINE_FLOOR
-    tree, f0 = box_tree(f)
+            return REFINE_FLOOR, replace(proof, floor=REFINE_FLOOR)
+    f0 = f.coefficient(0, 0)
+    tree = _BoxTree(f - BivariatePoly.constant(f0))
 
-    def certifies(c: Fraction) -> bool:
+    def certified_cells(c: Fraction) -> Optional[List[Tuple[int, int, int, int]]]:
         try:
-            return isinstance(tree.traverse(c + f0, max_depth), list)
+            outcome = tree.traverse(c + f0, max_depth)
         except Inconclusive:
-            return False
+            return None
+        return outcome if isinstance(outcome, list) else None
 
     c = Fraction(1)
-    if certifies(c):
-        while c > REFINE_FLOOR and certifies(c / 2):
-            c /= 2
-        return c
-    while True:
+    cells = certified_cells(c)
+    if cells is not None:
+        while c > REFINE_FLOOR:
+            half = certified_cells(c / 2)
+            if half is None:
+                break
+            c, cells = c / 2, half
+    while cells is None:
         c *= 2
         if c > DOUBLING_CAP:
             raise Inconclusive(max_depth, f"no certifiable constant up to {DOUBLING_CAP}")
-        if certifies(c):
-            return c
+        cells = certified_cells(c)
+    return c, _certificate(tree, c + f0, cells)

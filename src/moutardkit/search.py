@@ -6,18 +6,20 @@ decay as the seed degree grows; it only ever records what was certified,
 it never extrapolates.
 
 psi_i = +-omega_i/W is a square-summable kernel element only when
-W = F + C has no real zero, so each trial establishes one fact, W > 0, at
-one call site: `_certified_trial` certifies the W that `double_transform`
-built and reads the L2 flags of psi_i off that certificate. C comes from
-`positivity.min_positive_constant` (re-exported here) or from an
-example's reference closed form. Every positivity question goes to
-`positivity`; this module never sees a box.
+W = F + C has no real zero, so each trial establishes one fact, W > 0,
+once. In a sweep `positivity.min_positive_constant` (re-exported here)
+returns C with W's certificate, `run_trial` checks that the W
+`double_transform` built is that F + C, and `_trial_report` reads the L2
+flags of psi_i off the certificate. `verify_example_full` may take C from
+an example's reference closed form and certifies W by `global_positivity`,
+since `example` prints the box certificate. Every positivity question
+goes to `positivity`; this module never sees a box.
 
-Over u0 = 0 both questions carry the hint (omega1, conj(omega1)). On a
-conjugate-type pair, omega2 = conj(omega1) + t*omega1, `positivity.two_squares`
-verifies F = mu*(omega1^2 + conj(omega1)^2) with mu > 0: C is then
-REFINE_FLOOR with no box, and the proof W >= C > 0 is W's certificate in
-a sweep. `example` still prints W's box certificate.
+Over u0 = 0 the constant search carries the hint (omega1, conj(omega1)).
+On a conjugate-type pair, omega2 = conj(omega1) + t*omega1,
+`positivity.two_squares` verifies F = mu*(omega1^2 + conj(omega1)^2) with
+mu > 0: C is then REFINE_FLOOR with no box, and the proof W >= C > 0 is
+W's certificate in a sweep.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .positivity import (
     global_positivity,
     leading_dominance,
     min_positive_constant,
-    two_squares,
 )
 from .serialization import fraction_to_obj, poly_to_obj
 
@@ -176,27 +177,17 @@ class TrialReport:
     l2_psi2: bool
 
 
-def _certified_trial(
+def _trial_report(
     trial: int,
     oriented: SeedPair,
-    constant: Fraction,
-    max_depth: int,
-    square: Optional[Tuple[BivariatePoly, BivariatePoly]] = None,
+    result: DoubleMoutardResult,
+    certificate: Union[PositivityCertificate, TwoSquareProof],
 ) -> TrialReport:
-    """Transform an oriented pair with C, certify its W and analyze it.
+    """Analyze a transformed pair whose W = F + C has `certificate`.
 
-    psi1 and psi2 have denominator W, so their L2 flags read W's
-    certificate: the two-square proof of the hint when it verifies with a
-    positive floor, else the box certificate. A W that does not certify
-    raises VerificationFailed.
+    psi1 and psi2 have denominator W, so their L2 flags read that
+    certificate.
     """
-    result = double_transform(oriented, constant)
-    proof = None if square is None else two_squares(result.w_poly, *square)
-    if proof is not None and proof.floor > 0:
-        certificate = proof
-    else:
-        certificate = global_positivity(result.w_poly, max_depth)
-        _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
     u_report = decay_exponent(result.u)
     psi1_report = decay_exponent(result.psi1)
     psi2_report = decay_exponent(result.psi2)
@@ -229,16 +220,19 @@ def run_trial(
 ) -> SearchRecord:
     """Orient, pick C by the constant search, transform, and analyze one seed pair.
 
-    A pair without a positive orientation or a certifiable constant is
-    recorded as a failure; every other error propagates.
+    The constant search certifies W = F + C, and the W `double_transform`
+    builds must be that polynomial. A pair without a positive orientation
+    or a certifiable constant is recorded as a failure; every other error
+    propagates.
     """
     try:
         oriented, f = orient_for_positivity(seeds)
-        square = _square_hint(oriented)
-        constant = min_positive_constant(f, max_depth, square)
+        constant, certificate = min_positive_constant(f, max_depth, _square_hint(oriented))
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
-    return _certified_trial(trial, oriented, constant, max_depth, square).record
+    result = double_transform(oriented, constant)
+    _check(result.w_poly == f + BivariatePoly.constant(constant), "W is the searched F + C")
+    return _trial_report(trial, oriented, result, certificate).record
 
 
 def sweep(
@@ -279,22 +273,24 @@ def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Trial
 
     An example with a reference closed form calibrates C against it; one
     without takes C from `min_positive_constant`, whose square hint spares
-    a conjugate-type example the probe walks. Either way
-    `_certified_trial` certifies W once, by the box tree, since `example`
-    prints that certificate.
+    a conjugate-type example the probe walks. Either way W's box
+    certificate comes from one `global_positivity` call, since `example`
+    prints it.
     """
     example = get_example(ident)
     oriented, f = orient_for_positivity(example.seeds)
     ref = example.reference
     if ref is None:
-        constant = min_positive_constant(f, max_depth, _square_hint(oriented))
+        constant, _ = min_positive_constant(f, max_depth, _square_hint(oriented))
     else:
         lam, c_total = calibrate_against(f, ref.w_poly)
         constant = c_total / lam
-    report = _certified_trial(ident, oriented, constant, max_depth)
+    result = double_transform(oriented, constant)
+    certificate = global_positivity(result.w_poly, max_depth)
+    _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
+    report = _trial_report(ident, oriented, result, certificate)
 
     if ref is not None:
-        result = report.result
         _check(result.u.equals(ref.u), "u matches the reference closed form")
         pairings = [
             _proportional_rf(result.psi1, ref.psi1) and _proportional_rf(result.psi2, ref.psi2),

@@ -260,9 +260,8 @@ class TestTwoSquares:
 
 
 def fresh_tree_positivity(w, max_depth=DEFAULT_MAX_DEPTH):
-    """global_positivity built directly: a fresh tree of w itself, bounded
-    from scratch and walked at offset 0, with no memo and no shift by
-    w(0,0)."""
+    """global_positivity built directly: a tree of w itself, walked at
+    offset 0, with no shift by w(0,0)."""
     if w.is_zero:
         return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
     if w.degree == 0:
@@ -304,8 +303,8 @@ def off_centre_disk():
 
 
 class TestBoxTreeMemo:
-    """global_positivity(w) walks the memoized tree of w - w(0,0) at offset
-    w(0,0); every outcome must be the one of a fresh tree of w itself."""
+    """global_positivity(w) walks the tree of w - w(0,0) at offset w(0,0);
+    every outcome must be the one of a tree of w itself."""
 
     @pytest.mark.parametrize(
         "w",
@@ -320,11 +319,8 @@ class TestBoxTreeMemo:
             pytest.param(off_centre_disk(), id="refuted-off-the-root-centre"),
         ],
     )
-    def test_matches_a_fresh_tree(self, monkeypatch, w):
-        monkeypatch.setattr(positivity, "_last_tree", None)
-        expected = fresh_tree_positivity(w)
-        assert global_positivity(w) == expected
-        assert global_positivity(w) == expected  # again, from the memo
+    def test_matches_a_fresh_tree(self, w):
+        assert global_positivity(w) == fresh_tree_positivity(w)
 
     def test_inconclusive_at_a_small_depth_limit(self):
         for depth in (0, 3, 7):
@@ -332,37 +328,10 @@ class TestBoxTreeMemo:
             assert expected[0] == "Inconclusive"
             assert outcome_or_error(global_positivity, W_REF, depth) == expected
 
-    def test_interleaved_calls_never_reach_a_stale_tree(self):
-        shifted = W_REF + BivariatePoly.constant(Fraction(7, 3))  # same tree as W_REF
-        calls = [
-            (W_REF, 3),
-            (W_REF, DEFAULT_MAX_DEPTH),
-            (W_SEARCH, DEFAULT_MAX_DEPTH),
-            (W_REF, DEFAULT_MAX_DEPTH),
-            (W_REF, 3),
-            (shifted, DEFAULT_MAX_DEPTH),
-            (W_REF - BivariatePoly.constant(161), DEFAULT_MAX_DEPTH),
-            (W_SEARCH, 5),
-            (W_REF, 8),
-        ]
-        for w, depth in calls:
-            expected = outcome_or_error(fresh_tree_positivity, w, depth)
-            assert outcome_or_error(global_positivity, w, depth) == expected, (w, depth)
-
-    def test_tree_is_shared_by_constant_shifts_only(self):
-        tree, w0 = positivity.box_tree(W_REF)
-        assert w0 == 160
-        assert positivity.box_tree(W_REF + BivariatePoly.constant(-3)) == (tree, 157)
-        for depth in (3, 12, DEFAULT_MAX_DEPTH):  # one tree serves every depth limit
-            outcome_or_error(global_positivity, W_REF, depth)
-            assert positivity.box_tree(W_REF)[0] is tree
-        assert positivity.box_tree(W_SEARCH)[0] is not tree
-        assert positivity.box_tree(W_REF)[0] is not tree  # the memo holds one entry
-
 
 @pytest.fixture
 def bounds_calls(monkeypatch):
-    """Counts _BoxTree.bounds calls, starting from an empty memo."""
+    """Counts _BoxTree.bounds calls."""
     calls = [0]
     original = _BoxTree.bounds
 
@@ -371,45 +340,38 @@ def bounds_calls(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(_BoxTree, "bounds", counting)
-    monkeypatch.setattr(positivity, "_last_tree", None)
     return calls
 
 
-def test_closing_certification_bounds_no_box(bounds_calls):
-    _, f = search.orient_for_positivity(get_example(2).seeds)
-    constant = search.min_positive_constant(f)
-    probed = bounds_calls[0]
+@pytest.mark.parametrize("max_depth", [DEFAULT_MAX_DEPTH, 12])
+def test_run_trial_bounds_only_the_constant_search_boxes(monkeypatch, bounds_calls, max_depth):
+    # a generic pair: W's certificate is the one the constant search built
+    pair = search._draw_pair(random.Random(5), 2, 5)
+    oriented, f = search.orient_for_positivity(pair)
+    positivity.min_positive_constant(f, max_depth, search._square_hint(oriented))
+    searched, bounds_calls[0] = bounds_calls[0], 0
+
+    def no_certification(w, max_depth=DEFAULT_MAX_DEPTH):
+        pytest.fail("certified W again")
+
+    monkeypatch.setattr(search, "global_positivity", no_certification)
+    assert search.run_trial(0, pair, max_depth).positivity == "certified"
+    assert bounds_calls[0] == searched > 0
+
+
+@pytest.mark.parametrize("degree,seed", CONJUGATE_TYPE_PAIRS)
+def test_min_positive_constant_returns_the_proof_of_w_on_a_conjugate_type_pair(
+    bounds_calls, degree, seed
+):
+    oriented, f = oriented_pair(degree, seed)
+    constant, proof = positivity.min_positive_constant(
+        f, DEFAULT_MAX_DEPTH, search._square_hint(oriented)
+    )
+    assert isinstance(proof, TwoSquareProof)
+    assert proof.floor == constant == positivity.REFINE_FLOOR
     w = f + BivariatePoly.constant(constant)
-    certificate = global_positivity(w)
-    assert probed > 0
-    assert bounds_calls[0] == probed
-    assert certificate == fresh_tree_positivity(w)
-
-
-def test_certifying_w_at_a_non_default_depth_bounds_no_box(monkeypatch, bounds_calls):
-    during_certification = []
-
-    def certify(w, max_depth=DEFAULT_MAX_DEPTH):
-        before = bounds_calls[0]
-        outcome = global_positivity(w, max_depth)
-        during_certification.append(bounds_calls[0] - before)
-        return outcome
-
-    monkeypatch.setattr(search, "global_positivity", certify)
-    record = search.run_trial(0, search._draw_pair(random.Random(5), 2, 5), max_depth=12)
-    assert record.positivity == "certified"
-    assert during_certification == [0]
-    assert bounds_calls[0] > 0
-
-
-def test_one_tree_serves_every_depth_limit(bounds_calls):
-    global_positivity(W_REF)
-    bounded = bounds_calls[0]
-    outcomes = {depth: outcome_or_error(global_positivity, W_REF, depth) for depth in (12, 3)}
-    assert bounds_calls[0] == bounded
-    assert outcomes[3][0] == "Inconclusive"
-    for depth, outcome in outcomes.items():
-        assert outcome == outcome_or_error(fresh_tree_positivity, W_REF, depth)
+    assert two_squares(w, proof.p, proof.q) == proof
+    assert bounds_calls[0] == 0
 
 
 def test_example_2_bounds_each_box_once(bounds_calls):
@@ -423,9 +385,10 @@ def test_min_positive_constant_proves_a_verified_hint_with_no_box(bounds_calls):
     oriented, f = search.orient_for_positivity(get_example(2).seeds)
     hint = conjugate_hint(oriented.omega1)
     for depth in (2, DEFAULT_MAX_DEPTH):
-        assert positivity.min_positive_constant(f, depth, hint) == positivity.REFINE_FLOOR
+        constant, _ = positivity.min_positive_constant(f, depth, hint)
+        assert constant == positivity.REFINE_FLOOR
     assert bounds_calls[0] == 0
-    assert positivity.min_positive_constant(f, 2) > 1
+    assert positivity.min_positive_constant(f, 2)[0] > 1
 
 
 @pytest.mark.parametrize("shift", [1, -3], ids=["f+1", "f-3"])

@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 
 from moutardkit import decay, numeric, positivity, search, serialization
-from moutardkit.construct import SeedPair, transform_family
+from moutardkit.construct import SeedPair, double_transform, transform_family
 from moutardkit.errors import Inconclusive, NonPositiveLeadingForm, VerificationFailed
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
     DEFAULT_MAX_DEPTH,
     PositivityCertificate,
-    PositivityRefutation,
     global_positivity,
     leading_dominance,
+    two_squares,
 )
 
 X, Y = BivariatePoly.variables()
@@ -85,12 +85,6 @@ def reference_min_positive_constant(f, max_depth=DEFAULT_MAX_DEPTH):
     return hi, certificate
 
 
-def certified_min_positive_constant(f, *depth):
-    """search.min_positive_constant's C with the certificate of F + C."""
-    constant = search.min_positive_constant(f, *depth)
-    return constant, global_positivity(f + BivariatePoly.constant(constant), *depth)
-
-
 def constant_search_outcome(find, f, *depth):
     try:
         constant, certificate = find(f, *depth)
@@ -110,7 +104,7 @@ def test_min_positive_constant_matches_one_global_positivity_per_probe(degree, s
     f = f + BivariatePoly.constant(shift)
     depth = () if max_depth is None else (max_depth,)
     expected = constant_search_outcome(reference_min_positive_constant, f, *depth)
-    assert constant_search_outcome(certified_min_positive_constant, f, *depth) == expected
+    assert constant_search_outcome(search.min_positive_constant, f, *depth) == expected
 
 
 # (degree, seed) of conjugate-type pairs from search's generator:
@@ -121,7 +115,7 @@ CONJUGATE_TYPE_PAIRS = [(2, 0), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2)]
 @pytest.mark.parametrize("degree,seed", CONJUGATE_TYPE_PAIRS)
 def test_hinted_constant_is_the_box_tree_constant_at_the_default_depth(degree, seed):
     oriented, f = search.orient_for_positivity(search._draw_pair(random.Random(seed), degree, 5))
-    hinted = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
+    hinted, _ = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
     assert hinted == reference_min_positive_constant(f)[0] == positivity.REFINE_FLOOR
 
 
@@ -140,8 +134,9 @@ def test_min_positive_constant_stops_at_the_doubling_cap():
 def test_min_positive_constant_returns_the_certificate_of_f_plus_c(seed):
     # F + C certifies and F + C/2 does not
     _, f = search.orient_for_positivity(degree2_pair(seed))
-    constant = search.min_positive_constant(f)
-    assert isinstance(global_positivity(f + BivariatePoly.constant(constant)), PositivityCertificate)
+    constant, certificate = search.min_positive_constant(f)
+    assert isinstance(certificate, PositivityCertificate)
+    assert certificate == global_positivity(f + BivariatePoly.constant(constant))
     assert constant > positivity.REFINE_FLOOR
     try:
         half = global_positivity(f + BivariatePoly.constant(constant / 2))
@@ -195,46 +190,43 @@ def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
 
 
 def test_run_trial_propagates_every_other_error(monkeypatch):
-    # a built W that does not certify is a pipeline defect, not a failed
-    # trial; the pair is generic, so its W goes to global_positivity
-    def refutes(w, max_depth=DEFAULT_MAX_DEPTH):
-        return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
+    # a built W that is not the certified F + C is a pipeline defect, not
+    # a failed trial
+    def shifted_by_one(seeds, constant):
+        return double_transform(seeds, constant + 1)
 
-    monkeypatch.setattr(search, "global_positivity", refutes)
-    with pytest.raises(VerificationFailed, match="global positivity certificate for W"):
+    monkeypatch.setattr(search, "double_transform", shifted_by_one)
+    with pytest.raises(VerificationFailed, match=r"W is the searched F \+ C"):
         search.run_trial(0, degree2_pair(1))
 
 
 @pytest.mark.parametrize("degree,seed", [(2, 0), (3, 0)])
 def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, seed):
-    # the record the box tree gives: constant search and W's certificate
-    # both without the hint
+    # the record the box tree gives: the constant search without the hint
     pair = search._draw_pair(random.Random(seed), degree, 5)
     oriented, f = search.orient_for_positivity(pair)
-    constant = search.min_positive_constant(f)
-    boxed = search._certified_trial(seed, oriented, constant, DEFAULT_MAX_DEPTH)
-    assert isinstance(boxed.certificate, PositivityCertificate)
+    constant, certificate = search.min_positive_constant(f)
+    assert isinstance(certificate, PositivityCertificate)
+    result = double_transform(oriented, constant)
+    boxed = search._trial_report(seed, oriented, result, certificate)
 
     def no_box(tree, *args):
         pytest.fail("bounded a box")
 
+    squares = []
+
+    def counting_two_squares(*args):
+        squares.append(args)
+        return two_squares(*args)
+
     monkeypatch.setattr(positivity._BoxTree, "bounds", no_box)
-    monkeypatch.setattr(positivity, "_last_tree", None)
+    monkeypatch.setattr(positivity, "two_squares", counting_two_squares)
     assert search.run_trial(seed, pair) == boxed.record
-    proved = search._certified_trial(
-        seed, oriented, constant, DEFAULT_MAX_DEPTH, search._square_hint(oriented)
-    )
-    assert proved.certificate.floor == constant
+    assert len(squares) == 1
+    hinted, proof = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
+    assert proof.floor == hinted == constant
+    proved = search._trial_report(seed, oriented, result, proof)
     assert (proved.l2_psi1, proved.l2_psi2) == (boxed.l2_psi1, boxed.l2_psi2) == (True, True)
-
-
-def test_a_two_square_proof_with_floor_zero_does_not_certify_w():
-    # C = 0 leaves W = F = mu*(p^2 + q^2), which vanishes at the origin
-    oriented, _ = search.orient_for_positivity(search._draw_pair(random.Random(0), 3, 5))
-    with pytest.raises(VerificationFailed, match="global positivity certificate for W"):
-        search._certified_trial(
-            0, oriented, Fraction(0), DEFAULT_MAX_DEPTH, search._square_hint(oriented)
-        )
 
 
 def test_run_trial_certified_record():
