@@ -4,8 +4,13 @@ This module only composes the single step of `moutard`. From a seed pair
 (omega1, omega2) in the kernel of -Lap + u0, the step with seed omega1 and
 co-solution omega2 gives F; then W = F + C, u = u0 - 2*Lap(log W), and the
 kernel elements psi1 = omega1/W and psi2 = -omega2/W. The second
-transformation is never integrated: its result is written down
-algebraically and then re-verified symbolically.
+transformation is never integrated: its result is written down and proved
+once, by `verify_lemma`. For any theta the right side of
+
+    W^2 (-Lap + u)(theta/W) = 2 grad W.grad theta - W Lap theta - theta Lap W + u0 W theta
+
+is symmetric in (W, theta), so psi_i = +-omega_i/W solves (-Lap + u) psi = 0
+exactly when theta_i = +-W/omega_i solves that of u0 - 2*Lap(log omega_i).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import (
     ProportionalSeeds,
     SeedNotInKernel,
 )
-from .moutard import moutard_potential, moutard_solution, potential_from_w, verify_solution
+from .moutard import moutard_solution, potential_from_w, verify_solution
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
 
 
@@ -81,34 +86,32 @@ def transform_family(seeds: SeedPair) -> BivariatePoly:
 def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardResult:
     """Run the whole scheme for a fixed choice of the free constant.
 
-    The closed forms psi1 = omega1/W and psi2 = -omega2/W are written down
-    directly and then re-verified against u via verify_solution; a failure
-    there means a defect in the pipeline, not in the inputs.
+    psi1 = omega1/W and psi2 = -omega2/W are written down directly and
+    proved by `verify_lemma` alone, which the symmetric identity makes
+    the same statement; a failure means a defect, not bad inputs.
     """
     c = as_fraction(constant)
     w = transform_family(seeds) + BivariatePoly.constant(c)
     if w.is_zero:
         raise ProportionalSeeds("quadrature collapsed to a constant")
     u = potential_from_w(seeds.u0, w)
-    psi1 = RationalFn(seeds.omega1, w)
-    psi2 = RationalFn(-seeds.omega2, w)
-    for name, psi in (("psi1", psi1), ("psi2", psi2)):
-        if not verify_solution(u, psi):
-            raise InvariantViolated(f"(-Lap + u) {name} != 0")
-    return DoubleMoutardResult(w, c, u, psi1, psi2)
+    result = DoubleMoutardResult(w, c, u, RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w))
+    if not verify_lemma(seeds, result):
+        raise InvariantViolated("(-Lap + u) psi1 or psi2 != 0")
+    return result
 
 
 def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
     """Check the lemma behind the construction on both branches.
 
-    Branch i first maps u0 to u_mid_i = moutard_potential(u0, omega_i);
-    the lemma claims theta1 = W/omega1 and theta2 = -W/omega2 lie in the
-    kernels of -Lap + u_mid_1 and -Lap + u_mid_2. Returns True iff both
-    pass `verify_solution`; a W that is not the quadrature F + C fails.
+    Branch i maps u0 to u_mid_i = u0 - 2*Lap(log omega_i), its seed checked
+    by `SeedPair`; theta1 = W/omega1 and theta2 = -W/omega2 must solve
+    -Lap + u_mid_i, i.e. (-Lap + u) psi_i = 0 by the symmetric identity.
+    True iff both pass `verify_solution`; a W other than F + C fails.
     """
     w = result.w_poly
     return all(
-        verify_solution(moutard_potential(seeds.u0, omega), RationalFn(theta_num, omega))
+        verify_solution(potential_from_w(seeds.u0, omega), RationalFn(theta_num, omega))
         for omega, theta_num in ((seeds.omega1, w), (seeds.omega2, -w))
     )
 

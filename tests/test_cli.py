@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moutardkit import cli, gallery, serialization
+from moutardkit import cli, construct, gallery, serialization
 from moutardkit.polynomials import BivariatePoly, RationalFn
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +71,17 @@ def test_golden_transform_degree5(capsys):
     out = capsys.readouterr().out
     assert status == cli.EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAIR_D5_TRANSFORM_SHA256
+
+
+def test_transform_exits_usage_when_the_lemma_fails(monkeypatch, capsys):
+    # the lemma is double_transform's one postcondition: a failure is a
+    # defect, reported as a typed error, never as a printed "verified": false
+    monkeypatch.setattr(construct, "verify_lemma", lambda seeds, result: False)
+    status = run("transform", "--seeds", str(DATA / "pair_d5.json"), "--constant", "358")
+    captured = capsys.readouterr()
+    assert status == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "InvariantViolated" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from moutardkit.construct import (
     DoubleMoutardResult,
@@ -107,6 +108,14 @@ class TestDoubleTransform:
         with pytest.raises(InvariantViolated, match="psi1"):
             double_transform(seeds, 1)
 
+    def test_broken_quadrature_is_caught_by_the_lemma(self, monkeypatch):
+        # the postcondition is verify_lemma alone; it must still see a W that
+        # is not F + C
+        family = construct.transform_family
+        monkeypatch.setattr(construct, "transform_family", lambda seeds: family(seeds) + X * X * Y)
+        with pytest.raises(InvariantViolated):
+            double_transform(SeedPair.harmonic(X, Y), 1)
+
 
 class TestScalingInvariance:
     def test_potential_unchanged_by_w_rescaling(self):
@@ -156,6 +165,57 @@ class TestVerifyLemma:
         )
         assert verify_lemma(seeds, good)
         assert not verify_lemma(seeds, bogus)
+
+
+U0_X2 = RationalFn(BivariatePoly.constant(2), X * X)  # x^2 and x^2*y solve -Lap + u0
+
+
+def lemma_forms(seeds, w):
+    """(psi form, theta form) of the lemma for each seed, with W taken as given:
+    (-Lap + u) psi_i = 0 for u = u0 - 2 Lap log W, and theta_i = +-W/omega_i in
+    the kernel of u0 - 2 Lap log omega_i."""
+    u = potential_from_w(seeds.u0, w)
+    return [
+        (
+            verify_solution(u, RationalFn(sign * omega, w)),
+            verify_solution(potential_from_w(seeds.u0, omega), RationalFn(sign * w, omega)),
+        )
+        for omega, sign in ((seeds.omega1, 1), (seeds.omega2, -1))
+    ]
+
+
+class TestSymmetricIdentity:
+    """W^2 (-Lap + u)(theta/W) is symmetric in (W, theta), so double_transform's
+    postcondition on psi_i and verify_lemma's check on theta_i agree."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, "u0=2/x^2"]),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    )
+    def test_psi_form_iff_theta_form(self, kind, rng_seed, shift):
+        rng = random.Random(rng_seed)
+        if kind == "u0=2/x^2":
+            seeds = SeedPair(U0_X2, X * X, X * X * Y)
+        else:
+            omega1 = random_combo(kind, 0, 10, rng=rng).realized
+            omega2 = random_combo(kind, 0, 10, rng=rng).realized
+            assume(not proportional(omega1, omega2))
+            seeds = SeedPair.harmonic(omega1, omega2)
+        w = transform_family(seeds) + BivariatePoly.constant(Fraction(rng.randint(-40, 40), rng.randint(1, 7)))
+        if shift is not None:
+            # a W that is not F + C: the lemma holds only if the monomial happens to fit
+            w = w + BivariatePoly({shift: rng.choice([-3, -1, 1, 2])})
+        assume(not w.is_zero)
+        for psi_form, theta_form in lemma_forms(seeds, w):
+            assert psi_form == theta_form
+
+    def test_both_outcomes_occur(self):
+        seeds = SeedPair(U0_X2, X * X, X * X * Y)
+        w = transform_family(seeds) + BivariatePoly.constant(5)
+        assert lemma_forms(seeds, w) == [(True, True), (True, True)]
+        assert lemma_forms(seeds, w + X * Y) == [(False, False), (False, False)]
 
 
 class TestCalibrate:

@@ -119,6 +119,14 @@ class TestIntegrateClosed:
         with pytest.raises(InvariantViolated, match="does not reproduce"):
             integrate_closed(ClosedOneForm(-X, -Y))
 
+    def test_x_dependent_remainder_is_typed(self, monkeypatch):
+        # x + x*y keeps F(0,0) = 0 and leaves -x in the y-remainder; x*y alone
+        # would cancel in the y-integration and give the right quadrature
+        integrate_x = BivariatePoly.integrate_x
+        monkeypatch.setattr(BivariatePoly, "integrate_x", lambda p: integrate_x(p) + X + X * Y)
+        with pytest.raises(InvariantViolated, match="does not reproduce"):
+            integrate_closed(ClosedOneForm(-X, -Y))
+
 
 class TestMoutardSolution:
     def test_trivial_family(self):

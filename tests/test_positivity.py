@@ -302,7 +302,7 @@ def off_centre_disk():
     return dx * dx + dy * dy - BivariatePoly.constant(1)
 
 
-class TestBoxTreeMemo:
+class TestOffsetTree:
     """global_positivity(w) walks the tree of w - w(0,0) at offset w(0,0);
     every outcome must be the one of a tree of w itself."""
 
