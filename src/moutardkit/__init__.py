@@ -9,74 +9,56 @@ identities are verified with exact rational arithmetic, positivity of W
 is certified by Sturm sequences plus branch-and-bound, and decay rates
 follow from the degree gap once the denominator's leading form is
 positive on the unit circle.
+
+The exports are lazy (PEP 562): `import moutardkit` loads no submodule,
+and the first use of an exported name imports the module that defines it.
 """
 
-from .construct import (
-    DoubleMoutardResult,
-    SeedPair,
-    calibrate_against,
-    double_transform,
-    transform_family,
-    verify_lemma,
-)
-from .decay import DecayReport, decay_exponent, l2_membership
-from .errors import MoutardKitError
-from .gallery import get_example
-from .harmonic import HarmonicCombo, harmonic_basis, is_harmonic, random_combo
-from .moutard import (
-    ClosedOneForm,
-    integrate_closed,
-    moutard_potential,
-    moutard_solution,
-    solution_one_form,
-    verify_solution,
-)
-from .numeric import L2Estimate, numeric_l2_norm, numeric_residual, uniform_grid
-from .polynomials import NEG_INFINITY, BivariatePoly, RationalFn
-from .positivity import (
-    PositivityCertificate,
-    PositivityRefutation,
-    global_positivity,
-    min_positive_constant,
-)
-from .search import SearchRecord, sweep, verify_example_full
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariatePoly",
-    "ClosedOneForm",
-    "DecayReport",
-    "DoubleMoutardResult",
-    "HarmonicCombo",
-    "L2Estimate",
-    "MoutardKitError",
-    "NEG_INFINITY",
-    "PositivityCertificate",
-    "PositivityRefutation",
-    "RationalFn",
-    "SearchRecord",
-    "SeedPair",
-    "calibrate_against",
-    "decay_exponent",
-    "double_transform",
-    "get_example",
-    "global_positivity",
-    "harmonic_basis",
-    "integrate_closed",
-    "is_harmonic",
-    "l2_membership",
-    "min_positive_constant",
-    "moutard_potential",
-    "moutard_solution",
-    "numeric_l2_norm",
-    "numeric_residual",
-    "random_combo",
-    "solution_one_form",
-    "sweep",
-    "transform_family",
-    "uniform_grid",
-    "verify_example_full",
-    "verify_lemma",
-    "verify_solution",
-]
+_EXPORTS = {
+    "construct": (
+        "DoubleMoutardResult",
+        "SeedPair",
+        "calibrate_against",
+        "double_transform",
+        "transform_family",
+        "verify_lemma",
+    ),
+    "decay": ("DecayReport", "decay_exponent", "l2_membership"),
+    "errors": ("MoutardKitError",),
+    "gallery": ("get_example",),
+    "harmonic": ("HarmonicCombo", "harmonic_basis", "is_harmonic", "random_combo"),
+    "moutard": (
+        "ClosedOneForm",
+        "integrate_closed",
+        "moutard_potential",
+        "moutard_solution",
+        "solution_one_form",
+        "verify_solution",
+    ),
+    "numeric": ("L2Estimate", "numeric_l2_norm", "numeric_residual", "uniform_grid"),
+    "polynomials": ("NEG_INFINITY", "BivariatePoly", "RationalFn"),
+    "positivity": (
+        "PositivityCertificate",
+        "PositivityRefutation",
+        "global_positivity",
+        "min_positive_constant",
+    ),
+    "search": ("SearchRecord", "sweep", "verify_example_full"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

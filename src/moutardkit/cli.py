@@ -7,6 +7,11 @@ success/true; 1 when `verify` prints false, `positivity` refutes, or
 errors (an unwritable --out too) or a failed internal identity; 3 for an
 inconclusive branch-and-bound or a leading form not positive definite;
 141 (128 + SIGPIPE) when the reader closed stdout early, as `| head` does.
+
+At module level this imports only what every subcommand needs (the
+parser, JSON, the typed errors, polynomials and serialization); each
+`cmd_*` imports the module it runs, so `transform` never loads the
+positivity prover and `verify` never loads the construction.
 """
 
 from __future__ import annotations
@@ -19,11 +24,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import construct, search, serialization
-from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
+from . import serialization
+from .errors import (
+    DEFAULT_MAX_DEPTH,
+    Inconclusive,
+    MoutardKitError,
+    NonPositiveLeadingForm,
+    VerificationFailed,
+)
 from .polynomials import RationalFn, _int_eval, _integer_point
-from .positivity import DEFAULT_MAX_DEPTH, PositivityCertificate, global_positivity
-from .moutard import verify_solution
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -106,7 +115,8 @@ def _rationalfn(obj) -> RationalFn:
     return RationalFn(serialization.obj_to_poly(obj))
 
 
-def _bundle_obj(result: construct.DoubleMoutardResult) -> dict:
+def _bundle_obj(result) -> dict:
+    """The canonical JSON of a `construct.DoubleMoutardResult`."""
     return {
         "W": serialization.poly_to_obj(result.w_poly),
         "C": serialization.fraction_to_obj(result.constant),
@@ -118,6 +128,8 @@ def _bundle_obj(result: construct.DoubleMoutardResult) -> dict:
 
 
 def cmd_example(args) -> int:
+    from . import search
+
     report = search.verify_example_full(args.ident, args.max_depth)
     obj = {
         "example": args.ident,
@@ -134,6 +146,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import construct
+
     # outside `_load`: seeds that parse but are no SeedPair keep their typed error
     seeds = construct.SeedPair(*_load(args.seeds, "seeds", _seeds))
     constant = _parse_fraction(args.constant)
@@ -143,6 +157,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .moutard import verify_solution
+
     u = _load(args.potential, "function", _rationalfn)
     psi = _load(args.solution, "function", _rationalfn)
     ok = verify_solution(u, psi)
@@ -151,6 +167,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_positivity(args) -> int:
+    from .positivity import PositivityCertificate, global_positivity
+
     w = _load(args.poly, "polynomial", serialization.obj_to_poly)
     outcome = global_positivity(w, args.max_depth)
     if isinstance(outcome, PositivityCertificate):
@@ -187,6 +205,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     records = search.sweep(
         args.degree, args.seed, args.trials, max_depth=args.max_depth
     )

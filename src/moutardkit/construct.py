@@ -15,9 +15,8 @@ exactly when theta_i = +-W/omega_i solves that of u0 - 2*Lap(log omega_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import (
     InvariantViolated,
@@ -40,20 +39,25 @@ def proportional(p: BivariatePoly, q: BivariatePoly) -> bool:
     return q == p.scale(c_q / c_p)
 
 
-@dataclass(frozen=True)
-class SeedPair:
+class SeedPair(
+    NamedTuple("SeedPair", [("u0", RationalFn), ("omega1", BivariatePoly), ("omega2", BivariatePoly)])
+):
     """Background potential u0 plus two independent kernel elements."""
 
-    u0: RationalFn
-    omega1: BivariatePoly
-    omega2: BivariatePoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, seed in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if seed.is_zero or not verify_solution(self.u0, RationalFn(seed)):
+    def __new__(cls, u0: RationalFn, omega1: BivariatePoly, omega2: BivariatePoly) -> "SeedPair":
+        for name, seed in (("omega1", omega1), ("omega2", omega2)):
+            if seed.is_zero or not verify_solution(u0, RationalFn(seed)):
                 raise SeedNotInKernel(f"(-Lap + u0) {name} != 0")
-        if proportional(self.omega1, self.omega2):
+        if proportional(omega1, omega2):
             raise ProportionalSeeds("omega1 and omega2 are linearly dependent")
+        return super().__new__(cls, u0, omega1, omega2)
+
+    @classmethod
+    def _make(cls, iterable) -> "SeedPair":
+        """Builds through the check, and so does `_replace`, which calls it."""
+        return cls(*iterable)
 
     @classmethod
     def harmonic(
@@ -67,8 +71,7 @@ class SeedPair:
         return SeedPair(self.u0, self.omega2, self.omega1)
 
 
-@dataclass(frozen=True)
-class DoubleMoutardResult:
+class DoubleMoutardResult(NamedTuple):
     """Output bundle of the double construction."""
 
     w_poly: BivariatePoly

@@ -8,8 +8,7 @@ from the exponent, plus whether the rate is attained along generic rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import NonPositiveLeadingForm
 from .polynomials import RationalFn
@@ -22,8 +21,7 @@ from .positivity import (
 )
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     exponent: int
     bound_valid: bool
     exact_on_generic_ray: bool

@@ -33,6 +33,9 @@ class NonPositiveLeadingForm(MoutardKitError):
     """The leading form is not strictly positive on the unit circle."""
 
 
+DEFAULT_MAX_DEPTH = 40  # default branch-and-bound depth limit; reaching it raises Inconclusive
+
+
 class Inconclusive(MoutardKitError):
     """Branch-and-bound hit its depth limit without a decision."""
 

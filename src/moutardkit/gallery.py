@@ -8,16 +8,14 @@ recomputed from the seeds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .construct import SeedPair
 from .polynomials import BivariatePoly, RationalFn
 
 
-@dataclass(frozen=True)
-class ReferenceForms:
+class ReferenceForms(NamedTuple):
     """Closed-form targets: W, u = num/W^2 and the two kernel functions."""
 
     w_poly: BivariatePoly
@@ -26,8 +24,7 @@ class ReferenceForms:
     psi2: RationalFn
 
 
-@dataclass(frozen=True)
-class BuiltinExample:
+class BuiltinExample(NamedTuple):
     ident: int
     seeds: SeedPair
     reference: Optional[ReferenceForms]

@@ -11,8 +11,7 @@ closed exactly when u is harmonic, so it runs through the same
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .moutard import ClosedOneForm, integrate_closed
 from .polynomials import BivariatePoly
@@ -36,8 +35,7 @@ def is_harmonic(p: BivariatePoly) -> bool:
     return p.laplacian().is_zero
 
 
-@dataclass(frozen=True)
-class HarmonicCombo:
+class HarmonicCombo(NamedTuple):
     """The polynomial realized by an integer combination of Re/Im(z^n)."""
 
     realized: BivariatePoly

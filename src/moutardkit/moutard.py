@@ -17,22 +17,26 @@ exact termwise antidifferentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolated, NotClosed, NotCoKernel, SeedNotInKernel, ZeroSeed
 from .polynomials import BivariatePoly, RationalFn
 
 
-@dataclass(frozen=True)
-class ClosedOneForm:
+class ClosedOneForm(NamedTuple("ClosedOneForm", [("p", BivariatePoly), ("q", BivariatePoly)])):
     """P dx + Q dy with dP/dy == dQ/dx, checked at construction."""
 
-    p: BivariatePoly
-    q: BivariatePoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p.diff_y() != self.q.diff_x():
+    def __new__(cls, p: BivariatePoly, q: BivariatePoly) -> "ClosedOneForm":
+        if p.diff_y() != q.diff_x():
             raise NotClosed("dP/dy != dQ/dx")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable) -> "ClosedOneForm":
+        """Builds through the check, and so does `_replace`, which calls it."""
+        return cls(*iterable)
 
 
 def log_laplacian(g: BivariatePoly) -> RationalFn:

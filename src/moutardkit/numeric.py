@@ -11,9 +11,8 @@ magnitudes are floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .decay import decay_exponent
 from .errors import PoleTooClose
@@ -91,8 +90,7 @@ def numeric_residual(
     return float(worst)
 
 
-@dataclass(frozen=True)
-class L2Estimate:
+class L2Estimate(NamedTuple):
     """Midpoint-rule disk integral of |psi|^2 plus an analytic tail bound."""
 
     estimate: float

@@ -27,30 +27,26 @@ cells of its last certifying probe, so nothing walks that tree again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .errors import Inconclusive, NonPositiveLeadingForm
+from .errors import DEFAULT_MAX_DEPTH, Inconclusive, NonPositiveLeadingForm
 from .polynomials import BivariatePoly
 from .serialization import fraction_to_obj, obj_to_fraction
 from .sturm import is_positive_everywhere
 
-DEFAULT_MAX_DEPTH = 40
 DOUBLING_CAP = Fraction(2) ** 64
 REFINE_FLOOR = Fraction(1, 64)
 
 Box = Tuple[Fraction, Fraction, Fraction, Fraction]  # (x_lo, x_hi, y_lo, y_hi)
 
 
-@dataclass(frozen=True)
-class CertifiedCell:
+class CertifiedCell(NamedTuple):
     box: Box
     lower_bound: Fraction
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(NamedTuple):
     """Machine-checkable evidence that a polynomial is positive on the plane."""
 
     leading_form_min_bound: Fraction
@@ -88,8 +84,7 @@ class PositivityCertificate:
         )
 
 
-@dataclass(frozen=True)
-class PositivityRefutation:
+class PositivityRefutation(NamedTuple):
     """An exact rational point where the polynomial is <= 0."""
 
     point: Tuple[Fraction, Fraction]
@@ -105,8 +100,7 @@ class PositivityRefutation:
 PositivityOutcome = Union[PositivityCertificate, PositivityRefutation]
 
 
-@dataclass(frozen=True)
-class TwoSquareProof:
+class TwoSquareProof(NamedTuple):
     """The identity w = floor + mu*(p^2 + q^2) with rational mu > 0.
 
     p and q are real polynomials, so w >= floor on the whole plane; the
@@ -397,7 +391,7 @@ def min_positive_constant(
     if square is not None:
         proof = two_squares(f, *square)
         if proof is not None and proof.floor == 0:
-            return REFINE_FLOOR, replace(proof, floor=REFINE_FLOOR)
+            return REFINE_FLOOR, proof._replace(floor=REFINE_FLOOR)
     f0 = f.coefficient(0, 0)
     tree = _BoxTree(f - BivariatePoly.constant(f0))
 

@@ -25,9 +25,8 @@ W's certificate in a sweep.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .construct import (
     DoubleMoutardResult,
@@ -55,8 +54,7 @@ from .serialization import fraction_to_obj, poly_to_obj
 COEFFICIENT_BOUND = 5  # seed coefficients of a sweep are drawn from [-5, 5]
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """One certified (or failed) trial of the construction pipeline."""
 
     trial: int
@@ -163,8 +161,7 @@ def _draw_pair(rng: random.Random, degree: int, coefficient_bound: int) -> SeedP
     return SeedPair.harmonic(omega1, omega2)
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     """Everything the pipeline produced for one certified trial."""
 
     record: SearchRecord

@@ -54,6 +54,18 @@ class TestSeedPair:
         pair = SeedPair.harmonic(X, Y)
         assert pair.swapped().omega1 == Y
 
+    def test_replace_is_checked(self):
+        pair = SeedPair.harmonic(X, Y)
+        with pytest.raises(ProportionalSeeds):
+            pair._replace(omega2=pair.omega1)
+        with pytest.raises(SeedNotInKernel):
+            pair._replace(omega1=X * X)
+        assert pair._replace(omega2=X * Y) == SeedPair.harmonic(X, X * Y)
+
+    def test_make_is_checked(self):
+        with pytest.raises(ProportionalSeeds):
+            SeedPair._make((RationalFn.zero(), X, X.scale(3)))
+
 
 class TestDoubleTransform:
     def test_linear_seeds(self):

@@ -81,6 +81,14 @@ class TestSolutionOneForm:
         with pytest.raises(NotClosed):
             ClosedOneForm(Y, BivariatePoly.zero())
 
+    def test_closedness_enforced_by_replace_and_make(self):
+        form = ClosedOneForm(X, Y)
+        with pytest.raises(NotClosed):
+            form._replace(p=Y)
+        with pytest.raises(NotClosed):
+            ClosedOneForm._make((Y, BivariatePoly.zero()))
+        assert form._replace(q=Y + ONE) == ClosedOneForm(X, Y + ONE)
+
 
 class TestIntegrateClosed:
     def test_constant_form(self):

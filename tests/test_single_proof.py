@@ -11,7 +11,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moutardkit"
 
 ALLOWED = {
-    "construct.SeedPair.__post_init__",
+    "construct.SeedPair.__new__",
     "construct.verify_lemma",
     "moutard.moutard_potential",
     "cli.cmd_verify",

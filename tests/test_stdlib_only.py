@@ -1,4 +1,6 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and not
+`dataclasses`: it pulls in `inspect`, `ast`, `dis` and `tokenize`, which
+every fresh interpreter would pay for at start-up."""
 
 import ast
 import sys
@@ -28,3 +30,8 @@ def test_absolute_imports_are_stdlib(path):
         name for name in absolute_imports(path) if name.split(".")[0] not in sys.stdlib_module_names
     )
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_dataclasses_import(path):
+    assert [name for name in absolute_imports(path) if name.split(".")[0] == "dataclasses"] == []
