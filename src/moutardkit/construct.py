@@ -67,8 +67,8 @@ class SeedPair(
         return cls(RationalFn.zero(), omega1, omega2)
 
     def swapped(self) -> "SeedPair":
-        """Same pair with the seed roles exchanged (flips the quadrature sign)."""
-        return SeedPair(self.u0, self.omega2, self.omega1)
+        """Seeds exchanged (flips F's sign), unchecked: `__new__`'s checks are symmetric."""
+        return tuple.__new__(SeedPair, (self.u0, self.omega2, self.omega1))
 
 
 class DoubleMoutardResult(NamedTuple):

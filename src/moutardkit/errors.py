@@ -13,12 +13,8 @@ class SeedNotInKernel(MoutardKitError):
     """A seed does not solve the Schrodinger equation it was supplied for."""
 
 
-class NotCoKernel(MoutardKitError):
-    """Two functions do not solve a common Schrodinger equation."""
-
-
 class NotClosed(MoutardKitError):
-    """A 1-form failed the closedness requirement."""
+    """A 1-form is not closed (a seed and co-seed solve no common equation)."""
 
 
 class ProportionalSeeds(MoutardKitError):

@@ -104,10 +104,10 @@ def _example_2() -> BuiltinExample:
     )
 
 
-EXAMPLES = {1: _example_1(), 2: _example_2()}
+EXAMPLES = {1: _example_1, 2: _example_2}  # id -> builder
 
 
 def get_example(ident: int) -> BuiltinExample:
     if ident not in EXAMPLES:
         raise ValueError(f"no built-in example {ident}; choose one of {sorted(EXAMPLES)}")
-    return EXAMPLES[ident]
+    return EXAMPLES[ident]()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvariantViolated, NotClosed, NotCoKernel, SeedNotInKernel, ZeroSeed
+from .errors import InvariantViolated, NotClosed, SeedNotInKernel, ZeroSeed
 from .polynomials import BivariatePoly, RationalFn
 
 
@@ -65,13 +65,11 @@ def moutard_potential(u: RationalFn, omega: BivariatePoly) -> RationalFn:
 def solution_one_form(omega: BivariatePoly, phi: BivariatePoly) -> ClosedOneForm:
     """The closed 1-form whose quadrature yields omega * phi~.
 
-    Requires omega*Lap(phi) == phi*Lap(omega), i.e. both functions solve a
-    common Schrodinger equation; that identity is exactly closedness.
+    Requires omega*Lap(phi) == phi*Lap(omega) (both solve one Schrodinger
+    equation); that is dQ/dx == dP/dy, which `ClosedOneForm` checks.
     """
     if omega.is_zero:
         raise ZeroSeed("seed polynomial is zero")
-    if omega * phi.laplacian() != phi * omega.laplacian():
-        raise NotCoKernel("omega*Lap(phi) != phi*Lap(omega)")
     p = -(omega * phi.diff_y() - phi * omega.diff_y())
     q = omega * phi.diff_x() - phi * omega.diff_x()
     return ClosedOneForm(p, q)

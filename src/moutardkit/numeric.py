@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .decay import decay_exponent
+from .decay import decay_exponent, square_summable
 from .errors import PoleTooClose
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
 from .polynomials import _int_eval, _integer_point  # the cleared-integer kernel
@@ -131,10 +131,10 @@ def numeric_l2_norm(
             f"denominator is not positive (counterexample at {outcome.point})"
         )
     report = decay_exponent(psi)
-    k = report.exponent
-    if not report.bound_valid or k < 2:
+    if not square_summable(report, outcome):
         raise ValueError("tail bound needs a valid decay exponent >= 2")
-    m, lower_sum, den_degree = leading_dominance(psi.den)
+    k = report.exponent
+    m, lower_sum, _ = leading_dominance(psi.den)
     dominance_radius = max(Fraction(1), 2 * lower_sum / m)
     radius = max(as_fraction(outer_radius), dominance_radius)
     tail_constant = 2 * psi.num.coefficient_abs_sum() / m  # |psi| <= K r^-k, r >= radius

@@ -93,17 +93,15 @@ def orient_for_positivity(seeds: SeedPair) -> Tuple[SeedPair, BivariatePoly]:
 
     Swapping the seeds flips the sign of the closed 1-form, hence of F
     (the quadrature is linear and fixes F(0,0) = 0), so the swapped pair's
-    F is -F without a second quadrature; exactly one orientation can have
-    a positive-definite leading form. Raises NonPositiveLeadingForm when
-    neither does (mixed-degree pairs).
+    F is -F without a second quadrature. A positive-definite leading form is
+    positive at (0, 1), so F's y^D coefficient picks the side, and one
+    `leading_dominance` raises NonPositiveLeadingForm if neither qualifies.
     """
     f = transform_family(seeds)
-    try:
-        leading_dominance(f)
-        return seeds, f
-    except NonPositiveLeadingForm:
-        leading_dominance(-f)
-        return seeds.swapped(), -f
+    if f.coefficient(0, int(f.degree)) < 0:
+        seeds, f = seeds.swapped(), -f
+    leading_dominance(f)
+    return seeds, f
 
 
 def _square_hint(oriented: SeedPair) -> Optional[Tuple[BivariatePoly, BivariatePoly]]:

@@ -53,6 +53,12 @@ class TestSeedPair:
     def test_swapped(self):
         pair = SeedPair.harmonic(X, Y)
         assert pair.swapped().omega1 == Y
+        # built without the checks, yet equal to the checked swap
+        u0 = RationalFn(BivariatePoly.constant(2), X * X)
+        p = SeedPair(u0, X * X, X * X * Y)
+        assert p.swapped() == SeedPair(u0, X * X * Y, X * X)
+        assert type(p.swapped()) is SeedPair
+        assert p.swapped().swapped() == p
 
     def test_replace_is_checked(self):
         pair = SeedPair.harmonic(X, Y)

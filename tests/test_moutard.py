@@ -8,7 +8,6 @@ import pytest
 from moutardkit.errors import (
     InvariantViolated,
     NotClosed,
-    NotCoKernel,
     SeedNotInKernel,
     ZeroSeed,
 )
@@ -73,13 +72,12 @@ class TestSolutionOneForm:
         assert form.p.degree == 3 and form.q.degree == 3
         assert form.p.diff_y() == form.q.diff_x()
 
-    def test_not_cokernel(self):
-        with pytest.raises(NotCoKernel):
-            solution_one_form(ONE, X * X)
-
     def test_closedness_enforced_by_constructor(self):
         with pytest.raises(NotClosed):
             ClosedOneForm(Y, BivariatePoly.zero())
+        # omega*Lap(phi) != phi*Lap(omega) is exactly dQ/dx != dP/dy
+        with pytest.raises(NotClosed):
+            solution_one_form(ONE, X * X)
 
     def test_closedness_enforced_by_replace_and_make(self):
         form = ClosedOneForm(X, Y)

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moutardkit import decay, numeric, positivity, search, serialization
 from moutardkit.construct import SeedPair, double_transform, transform_family
 from moutardkit.errors import Inconclusive, NonPositiveLeadingForm, VerificationFailed
+from moutardkit.harmonic import random_combo
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
     DEFAULT_MAX_DEPTH,
@@ -171,6 +173,52 @@ def test_orient_raises_when_neither_orientation_works():
     # F has odd degree 3, so its leading form changes sign either way
     with pytest.raises(NonPositiveLeadingForm):
         search.orient_for_positivity(SeedPair.harmonic(X, X * X - Y * Y))
+
+
+def try_both_orientations(seeds):
+    """The reference rule: F if its leading form is positive, else -F."""
+    f = transform_family(seeds)
+    try:
+        leading_dominance(f)
+        return seeds, f
+    except NonPositiveLeadingForm:
+        leading_dominance(-f)
+        return seeds.swapped(), -f
+
+
+def orientation_outcome(orient, seeds):
+    try:
+        return orient(seeds)
+    except NonPositiveLeadingForm:
+        return NonPositiveLeadingForm
+
+
+def exact_degree_seed(rng, degree):
+    while True:
+        omega = random_combo(degree, 0, 5, rng=rng).realized
+        if omega.degree == degree:
+            return omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32))
+def test_sign_rule_agrees_with_trying_both_orientations(degree, seed):
+    pair = search._draw_pair(random.Random(seed), degree, 5)
+    assert orientation_outcome(search.orient_for_positivity, pair) == orientation_outcome(
+        try_both_orientations, pair
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
+def test_mixed_degree_pairs_have_no_positive_orientation(a, b, seed):
+    # the leading form of F has zero mean on the circle when a != b; the
+    # benchmark's sweep generator relies on this raise
+    rng = random.Random(seed)
+    pair = SeedPair.harmonic(exact_degree_seed(rng, a), exact_degree_seed(rng, a + b))
+    for orient in (search.orient_for_positivity, try_both_orientations):
+        with pytest.raises(NonPositiveLeadingForm):
+            orient(pair)
 
 
 def test_run_trial_records_a_pair_without_positive_orientation():

@@ -3,10 +3,19 @@
 `verify_solution` checks the seeds (`SeedPair`, `moutard_potential`), the
 lemma of the double construction (`verify_lemma`, which by the symmetric
 identity also proves psi_i = +-omega_i/W) and the `verify` subcommand's
-input. Any other use would prove one of these statements a second time."""
+input. Any other use would prove one of these statements a second time.
+The counts below check the same at run time: a swapped pair, an unused
+example and a quadrature's 1-form are not proved again."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from moutardkit import construct, moutard, search
+from moutardkit.gallery import get_example
+from moutardkit.polynomials import BivariatePoly, RationalFn
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moutardkit"
 
@@ -65,3 +74,67 @@ def test_scan_catches_a_second_proof():
         "construct.Checker.check",
         "construct",
     ]
+
+
+X, Y = BivariatePoly.variables()
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` so each call records its arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_verify_solution(monkeypatch):
+    calls = count_calls(monkeypatch, construct, "verify_solution")
+    monkeypatch.setattr(moutard, "verify_solution", construct.verify_solution)
+    return calls
+
+
+def test_a_swapped_trial_proves_only_the_lemma(monkeypatch):
+    pair = construct.SeedPair.harmonic(X, Y)  # F = -(x^2 + y^2)/2 swaps
+    verified = count_verify_solution(monkeypatch)
+    oriented = count_calls(monkeypatch, search, "leading_dominance")
+    record = search.run_trial(0, pair)
+    assert record.valid and record.seeds_obj == search._seeds_obj(pair.swapped())
+    assert len(verified) == 2  # verify_lemma's two branches
+    assert len(oriented) == 1
+
+
+def test_get_example_proves_only_its_own_seeds(monkeypatch):
+    verified = count_verify_solution(monkeypatch)
+    seeds = get_example(2).seeds
+    assert [psi for _, psi in verified] == [RationalFn(seeds.omega1), RationalFn(seeds.omega2)]
+
+
+def test_importing_search_proves_nothing():
+    code = (
+        "from moutardkit import construct\n"
+        "calls = []\n"
+        "real = construct.verify_solution\n"
+        "construct.verify_solution = lambda u, psi: calls.append(psi) or real(u, psi)\n"
+        "import moutardkit.search\n"
+        "print(len(calls))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0\n"
+
+
+def test_solution_one_form_leaves_closedness_to_the_form(monkeypatch):
+    omega, phi = X * X - Y * Y, X * Y
+    products = count_calls(monkeypatch, BivariatePoly, "__mul__")
+    laplacians = count_calls(monkeypatch, BivariatePoly, "laplacian")
+    form = moutard.solution_one_form(omega, phi)
+    assert len(products) == 4  # two each in P and Q
+    assert laplacians == []
+    assert isinstance(form, moutard.ClosedOneForm)
