@@ -95,8 +95,6 @@ def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardRe
     """
     c = as_fraction(constant)
     w = transform_family(seeds) + BivariatePoly.constant(c)
-    if w.is_zero:
-        raise ProportionalSeeds("quadrature collapsed to a constant")
     u = potential_from_w(seeds.u0, w)
     result = DoubleMoutardResult(w, c, u, RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w))
     if not verify_lemma(seeds, result):

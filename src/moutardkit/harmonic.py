@@ -2,7 +2,8 @@
 combinations of it, and harmonic conjugates.
 
 Parameterizing seeds in this basis makes harmonicity structural; nothing
-ever needs to solve the Laplace equation. The conjugate of a harmonic u
+ever needs to solve the Laplace equation, and the binomial theorem writes
+the basis out with no polynomial product. The conjugate of a harmonic u
 is the quadrature of the Cauchy-Riemann form -u_y dx + u_x dy, which is
 closed exactly when u is harmonic, so it runs through the same
 `integrate_closed` as the Moutard step.
@@ -10,6 +11,7 @@ closed exactly when u is harmonic, so it runs through the same
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple, Tuple
 
@@ -20,15 +22,14 @@ from .polynomials import BivariatePoly
 def harmonic_basis(n: int) -> Tuple[BivariatePoly, BivariatePoly]:
     """(Re((x+iy)^n), Im((x+iy)^n)), the degree-n harmonic pair.
 
-    Built by the binomial recurrence (re, im) -> (re*x - im*y, re*y + im*x).
+    Written out by the binomial theorem: C(n, k) x^(n-k) (iy)^k is real for even k.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("degree must be a positive integer")
-    x, y = BivariatePoly.variables()
-    re, im = x, y
-    for _ in range(n - 1):
-        re, im = re * x - im * y, re * y + im * x
-    return re, im
+    parts = ({}, {})  # (Re, Im) terms
+    for k in range(n + 1):
+        parts[k % 2][(n - k, k)] = math.comb(n, k) * (-1) ** (k // 2)
+    return BivariatePoly(parts[0]), BivariatePoly(parts[1])
 
 
 def is_harmonic(p: BivariatePoly) -> bool:

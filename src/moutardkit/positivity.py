@@ -2,8 +2,9 @@
 knows the circle test and the box tree.
 
 Callers ask four things. `leading_dominance(p)` bounds p's leading form
-on the unit circle through Sturm sequences (the only circle test) and
-gives the coefficient-sum tail that makes the leading term dominate.
+on the unit circle (the only circle test; Sturm sequences unless it is
+radial) and gives the coefficient-sum tail that makes the leading term
+dominate.
 `global_positivity(w, max_depth)` certifies w > 0 on the plane or refutes
 it at a rational point. `two_squares(w, p, q)` checks the identity
 w = w(0,0) + mu*(p^2 + q^2) with mu > 0, which proves w >= w(0,0) with no
@@ -137,31 +138,27 @@ def _circle_bound(lead: BivariatePoly, d: int) -> Optional[Fraction]:
     """An exact positive lower bound on the unit circle of a nonzero form
     of even degree d, or None when the form attains a value <= 0 there.
 
-    The test uses the section q(t) = lead(1, t): positivity on the circle
-    is equivalent to lead(0,1) > 0 plus q root-free and positive. The bound
-    c is certified by showing q - c*(1+t^2)^(d/2) is root-free, halving c
-    until that holds.
+    The section q(t) = lead(1, t) is compared with (1+t^2)^(d/2) first: a
+    radial form c*(x^2+y^2)^(d/2), which is the top part of every
+    quadrature of two harmonic seeds of equal degree and every positive
+    constant, has the exact minimum c. Any other form is positive on the
+    circle iff lead(0,1) > 0 and q is root-free and positive (Sturm), and
+    c is halved until q - c*(1+t^2)^(d/2) is root-free.
     """
-    if d == 0:
-        c = lead.coefficient(0, 0)
-        return c if c > 0 else None
     a0 = lead.coefficient(0, d)  # value at (0, +-1)
     if a0 <= 0:
         return None
     # q(t) as a y-free polynomial in t; on a form the exponent j fixes the term
     q = BivariatePoly({(j, 0): c for (_, j), c in lead.items()})
+    power = BivariatePoly({(2 * k, 0): math.comb(d // 2, k) for k in range(d // 2 + 1)})
+    c = min(a0, q.coefficient(0, 0))
+    if q == power.scale(c):
+        return c  # the exact minimum
     if not is_positive_everywhere(q):
         return None
-    power = BivariatePoly({(0, 0): 1, (2, 0): 1}) ** (d // 2)
-    c = min(a0, q.coefficient(0, 0))
-    while True:
-        g = q - power.scale(c)
-        if g.is_zero:
-            # lead is exactly c*(x^2+y^2)^(d/2); c is the exact minimum
-            return c
-        if is_positive_everywhere(g):
-            return c
+    while not is_positive_everywhere(q - power.scale(c)):
         c = c / 2
+    return c
 
 
 def leading_dominance(p: BivariatePoly) -> Tuple[Fraction, Fraction, int]:
@@ -244,17 +241,15 @@ class _BoxTree:
                 for i, row in enumerate(self.grid)
             ]
         grid = [row[:] for row in scaled]
-        if px:
-            for k in range(d):
-                for i in range(d - 1, k - 1, -1):
-                    row = grid[i]
-                    for j, c in enumerate(grid[i + 1]):
-                        row[j] += px * c
-        if qy:
-            for row in grid:
-                for k in range(len(row) - 1):
-                    for j in range(len(row) - 2, k - 1, -1):
-                        row[j] += qy * row[j + 1]
+        for k in range(d):
+            for i in range(d - 1, k - 1, -1):
+                row = grid[i]
+                for j, c in enumerate(grid[i + 1]):
+                    row[j] += px * c
+        for row in grid:
+            for k in range(len(row) - 1):
+                for j in range(len(row) - 2, k - 1, -1):
+                    row[j] += qy * row[j + 1]
         r_pow = [1]
         hy_pow = [1]
         for _ in range(d):

@@ -20,6 +20,22 @@ def test_basis_low_degrees():
     assert im3 == BivariatePoly({(2, 1): 3, (0, 3): -1})
 
 
+def test_basis_matches_the_product_recurrence():
+    # the reference: (re, im) -> (re*x - im*y, re*y + im*x) from (x, y)
+    re, im = X, Y
+    for n in range(1, 41):
+        assert harmonic_basis(n) == (re, im)
+        re, im = re * X - im * Y, re * Y + im * X
+
+
+def test_random_combo_multiplies_no_polynomials(monkeypatch):
+    calls = []
+    mul = BivariatePoly.__mul__
+    monkeypatch.setattr(BivariatePoly, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert not random_combo(5, 0, 5).realized.is_zero
+    assert calls == []
+
+
 def test_basis_rejects_zero():
     with pytest.raises(ValueError):
         harmonic_basis(0)

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from moutardkit import positivity, search
+from moutardkit import positivity, search, sturm
+from moutardkit.construct import transform_family
 from moutardkit.errors import Inconclusive, NonPositiveLeadingForm
 from moutardkit.gallery import get_example
 from moutardkit.harmonic import conjugate
@@ -44,6 +46,27 @@ def circle_bound(p):
         return None
 
 
+def reference_circle_bound(lead, d):
+    """The circle test with the radial case found inside the halving loop,
+    after a Sturm test of the section q; `_circle_bound` must agree."""
+    if d == 0:
+        c = lead.coefficient(0, 0)
+        return c if c > 0 else None
+    a0 = lead.coefficient(0, d)
+    if a0 <= 0:
+        return None
+    q = BivariatePoly({(j, 0): c for (_, j), c in lead.items()})
+    if not sturm.is_positive_everywhere(q):
+        return None
+    power = BivariatePoly({(0, 0): 1, (2, 0): 1}) ** (d // 2)
+    c = min(a0, q.coefficient(0, 0))
+    while True:
+        g = q - power.scale(c)
+        if g.is_zero or sturm.is_positive_everywhere(g):
+            return c
+        c = c / 2
+
+
 class TestLeadingFormPositive:
     def test_radial_quartic_block(self):
         assert circle_bound((R2 * R2).scale(17)) == 17
@@ -62,15 +85,24 @@ class TestLeadingFormPositive:
     def test_negative_definite_fails(self):
         assert circle_bound(-R2) is None
 
-    def test_positive_but_not_radial(self):
-        # 2x^4 + x^2 y^2 + y^4 is positive definite
-        p = BivariatePoly({(4, 0): 2, (2, 2): 1, (0, 4): 1})
-        bound = circle_bound(p)
-        assert bound is not None and bound > 0
+    @pytest.mark.parametrize(
+        "terms, bound",
+        [
+            ({(4, 0): 2, (2, 2): 1, (0, 4): 1}, Fraction(1, 2)),
+            ({(2, 0): 3, (1, 1): 1, (0, 2): 1}, Fraction(1, 2)),
+            ({(6, 0): 1, (0, 6): 1}, Fraction(1, 8)),
+            ({(4, 0): 1, (3, 1): 1, (2, 2): 3, (0, 4): 2}, Fraction(1, 2)),
+        ],
+    )
+    def test_positive_but_not_radial(self, terms, bound):
+        # positive definite forms; each bound is the reference loop's
+        p = BivariatePoly(terms)
+        d = int(p.degree)
+        assert circle_bound(p) == bound == reference_circle_bound(p, d)
         # bound must actually hold at sampled circle directions
         for t in (0, 1, -1, Fraction(1, 3), Fraction(-7, 2)):
             value = p.evaluate(1, t)
-            norm = (1 + t * t) ** 2
+            norm = (1 + t * t) ** (d // 2)
             assert value >= bound * norm
 
     def test_odd_degree(self):
@@ -80,6 +112,31 @@ class TestLeadingFormPositive:
     def test_constant_form(self):
         assert circle_bound(BivariatePoly.constant(5)) == 5
         assert circle_bound(BivariatePoly.constant(-5)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0, 2, 4, 6]),
+        st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+        st.integers(-2, 2),
+    )
+    def test_circle_bound_agrees_with_the_reference(self, d, coeffs, mu):
+        # a random form of degree d plus a multiple of (x^2 + y^2)^(d/2),
+        # so radial forms and near-radial ones are both drawn
+        form = BivariatePoly({(i, d - i): coeffs[i] for i in range(d + 1)})
+        lead = form + (R2 ** (d // 2)).scale(mu)
+        assume(not lead.is_zero)
+        assert positivity._circle_bound(lead, d) == reference_circle_bound(lead, d)
+
+    def test_radial_forms_build_no_sturm_chain(self, monkeypatch):
+        chains = []
+        count = sturm.count_real_roots
+        monkeypatch.setattr(sturm, "count_real_roots", lambda p: chains.append(p) or count(p))
+        # swapping the seeds flips the sign of each example's quadrature
+        examples = [transform_family(get_example(k).seeds.swapped()) for k in (1, 2)]
+        assert [circle_bound(p) for p in examples] == [Fraction(17, 8), 4]
+        assert circle_bound((R2 * R2).scale(17)) == 17
+        assert circle_bound(BivariatePoly.constant(5)) == 5
+        assert chains == []
 
 
 class TestLeadingDominance:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moutardkit import decay, numeric, positivity, search, serialization
 from moutardkit.construct import SeedPair, double_transform, transform_family
@@ -219,6 +219,16 @@ def test_mixed_degree_pairs_have_no_positive_orientation(a, b, seed):
     for orient in (search.orient_for_positivity, try_both_orientations):
         with pytest.raises(NonPositiveLeadingForm):
             orient(pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32))
+def test_equal_degree_quadratures_have_a_radial_leading_form(degree, seed):
+    # top parts Re(a z^d) and Re(b z^d) give F the top part
+    # mu*(x^2 + y^2)^d, mu = -Im(a*conj(b))/2; mu = 0 lowers F's degree
+    f = transform_family(search._draw_pair(random.Random(seed), degree, 5))
+    assume(f.degree == 2 * degree)
+    assert f.leading_form() == ((X * X + Y * Y) ** degree).scale(f.coefficient(0, 2 * degree))
 
 
 def test_run_trial_records_a_pair_without_positive_orientation():
