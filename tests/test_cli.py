@@ -26,6 +26,12 @@ DATA = Path(__file__).parent / "data"
 # recorded with the schoolbook product and division kernel
 PAIR_D5_TRANSFORM_SHA256 = "1f0c62bbf28dc14d878f41218d58fedab452604bc3b0c37b9f87085664d031f4"
 
+# SHA-256 of the stdout of
+#   moutardkit transform --seeds tests/data/pair_u0_x2.json --constant 3
+# (u0 = 2/x^2, omega1 = x^2, omega2 = x^2*y), recorded with the lemma
+# checked through the mirror potentials u0 - 2*Lap(log omega_i)
+PAIR_U0_X2_TRANSFORM_SHA256 = "14ff9f1f50ac23e4accc60d0af77a9e26cd02f464415ca34c86bce310f220fc7"
+
 # SHA-256 of the stdout of `moutardkit ARGV...`, recorded with the
 # Fraction-based univariate polynomial type and Sturm chain
 GOLDEN_STDOUT_SHA256 = [
@@ -71,6 +77,13 @@ def test_golden_transform_degree5(capsys):
     out = capsys.readouterr().out
     assert status == cli.EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAIR_D5_TRANSFORM_SHA256
+
+
+def test_golden_transform_nonzero_background(capsys):
+    status = run("transform", "--seeds", str(DATA / "pair_u0_x2.json"), "--constant", "3")
+    out = capsys.readouterr().out
+    assert status == cli.EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAIR_U0_X2_TRANSFORM_SHA256
 
 
 def test_transform_exits_usage_when_the_lemma_fails(monkeypatch, capsys):
@@ -283,7 +296,7 @@ def test_every_subcommand_has_a_golden_stdout_pin():
         action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
     ]
     pinned = {argv[0] for argv, _ in GOLDEN_STDOUT_SHA256 + REFERENCE_STDOUT_SHA256}
-    # transform's pin is PAIR_D5_TRANSFORM_SHA256
+    # transform's pins are PAIR_D5_TRANSFORM_SHA256 and PAIR_U0_X2_TRANSFORM_SHA256
     assert set(subcommands.choices) - pinned - {"transform"} == set()
 
 

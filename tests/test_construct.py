@@ -119,12 +119,10 @@ class TestDoubleTransform:
         assert verify_solution(result.u, result.psi2)
 
     def test_failed_self_check_is_typed(self, monkeypatch):
-        # a typed error, not an assert, so it survives python -O; the pair is
-        # built first, since checking its seeds also calls verify_solution
-        seeds = SeedPair.harmonic(X, Y)
-        monkeypatch.setattr(construct, "verify_solution", lambda u, psi: False)
+        # a typed error, not an assert, so it survives python -O
+        monkeypatch.setattr(construct, "verify_lemma", lambda seeds, result: False)
         with pytest.raises(InvariantViolated, match="psi1"):
-            double_transform(seeds, 1)
+            double_transform(SeedPair.harmonic(X, Y), 1)
 
     def test_broken_quadrature_is_caught_by_the_lemma(self, monkeypatch):
         # the postcondition is verify_lemma alone; it must still see a W that
@@ -167,33 +165,38 @@ class TestVerifyLemma:
             seeds = SeedPair.harmonic(X, X.scale(2))
             verify_lemma(seeds, double_transform(seeds, 1))
 
-    def test_rejects_w_that_is_not_the_quadrature(self):
-        # a bundle that is self-consistent given W (u and psi_i are built
-        # from it) but whose W is not F + C for the seeds
+    @pytest.mark.parametrize(
+        "make_w,passes",
+        [
+            (lambda w: w.scale(2), True),
+            (lambda w: w.scale(-3), True),
+            (lambda w: w + BivariatePoly.constant(1), True),
+            (lambda w: BivariatePoly.constant(1), True),
+            (lambda w: w + X, False),
+            (lambda w: w + X * X * Y + BivariatePoly.constant(5), False),
+        ],
+        ids=["2W", "-3W", "W+1", "1", "W+x", "W+x^2y+5"],
+    )
+    def test_passes_iff_w_is_an_affine_image_of_the_quadrature(self, make_w, passes):
+        # lambda*F + C keeps u and scales psi_i, so only a W that is not of
+        # that form fails, in every form of the lemma
         obj = json.loads((DATA / "pair_d5.json").read_text(encoding="utf-8"))
         seeds = SeedPair.harmonic(obj_to_poly(obj["omega1"]), obj_to_poly(obj["omega2"]))
-        good = double_transform(seeds, 358)
-        w = good.w_poly + X * X * Y + BivariatePoly.constant(5)
-        bogus = DoubleMoutardResult(
-            w,
-            good.constant,
-            potential_from_w(seeds.u0, w),
-            RationalFn(seeds.omega1, w),
-            RationalFn(-seeds.omega2, w),
-        )
-        assert verify_lemma(seeds, good)
-        assert not verify_lemma(seeds, bogus)
+        w = make_w(double_transform(seeds, 358).w_poly)
+        assert lemma_forms(seeds, w) == (passes, [(passes, passes), (passes, passes)])
 
 
 U0_X2 = RationalFn(BivariatePoly.constant(2), X * X)  # x^2 and x^2*y solve -Lap + u0
 
 
 def lemma_forms(seeds, w):
-    """(psi form, theta form) of the lemma for each seed, with W taken as given:
-    (-Lap + u) psi_i = 0 for u = u0 - 2 Lap log W, and theta_i = +-W/omega_i in
-    the kernel of u0 - 2 Lap log omega_i."""
+    """The lemma three ways, with W taken as given: `verify_lemma` on the
+    bundle built from W, and per seed (psi form, theta form), i.e.
+    (-Lap + u) psi_i = 0 for u = u0 - 2 Lap log W, and theta_i = +-W/omega_i
+    in the kernel of u0 - 2 Lap log omega_i."""
     u = potential_from_w(seeds.u0, w)
-    return [
+    bundle = DoubleMoutardResult(w, Fraction(0), u, RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w))
+    return verify_lemma(seeds, bundle), [
         (
             verify_solution(u, RationalFn(sign * omega, w)),
             verify_solution(potential_from_w(seeds.u0, omega), RationalFn(sign * w, omega)),
@@ -203,8 +206,14 @@ def lemma_forms(seeds, w):
 
 
 class TestSymmetricIdentity:
-    """W^2 (-Lap + u)(theta/W) is symmetric in (W, theta), so double_transform's
-    postcondition on psi_i and verify_lemma's check on theta_i agree."""
+    """For any theta the right side of
+
+        W^2 (-Lap + u)(theta/W) = 2 grad W.grad theta - W Lap theta - theta Lap W + u0 W theta
+
+    is symmetric in (W, theta), so psi_i = +-omega_i/W solves (-Lap + u) psi = 0
+    exactly when theta_i = +-W/omega_i solves that of u0 - 2 Lap log omega_i.
+    verify_lemma, which checks the right side cleared of u0's denominator
+    with theta = omega_i, must agree with both forms."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -226,14 +235,16 @@ class TestSymmetricIdentity:
             # a W that is not F + C: the lemma holds only if the monomial happens to fit
             w = w + BivariatePoly({shift: rng.choice([-3, -1, 1, 2])})
         assume(not w.is_zero)
-        for psi_form, theta_form in lemma_forms(seeds, w):
+        lemma, forms = lemma_forms(seeds, w)
+        for psi_form, theta_form in forms:
             assert psi_form == theta_form
+        assert lemma == all(psi_form for psi_form, _ in forms)
 
     def test_both_outcomes_occur(self):
         seeds = SeedPair(U0_X2, X * X, X * X * Y)
         w = transform_family(seeds) + BivariatePoly.constant(5)
-        assert lemma_forms(seeds, w) == [(True, True), (True, True)]
-        assert lemma_forms(seeds, w + X * Y) == [(False, False), (False, False)]
+        assert lemma_forms(seeds, w) == (True, [(True, True), (True, True)])
+        assert lemma_forms(seeds, w + X * Y) == (False, [(False, False), (False, False)])
 
 
 class TestCalibrate:

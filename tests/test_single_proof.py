@@ -1,13 +1,15 @@
 """The package proves (-Lap + u) psi = 0 only where the statement is new.
 
-`verify_solution` checks the seeds (`SeedPair`, `moutard_potential`), the
-lemma of the double construction (`verify_lemma`, which by the symmetric
-identity also proves psi_i = +-omega_i/W) and the `verify` subcommand's
-input. Any other use would prove one of these statements a second time.
-The counts below check the same at run time: a swapped pair, an unused
-example and a quadrature's 1-form are not proved again."""
+`verify_solution` checks the seeds (`SeedPair`, `moutard_potential`) and
+the `verify` subcommand's input. The lemma of the double construction,
+psi_i = +-omega_i/W, is proved by `verify_lemma` through its own
+polynomial identity, not by `verify_solution`. Any other use would prove
+one of these statements a second time. The counts below check the same at
+run time: a swapped pair, an unused example and a quadrature's 1-form are
+not proved again, and the lemma costs no `verify_solution` call."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -16,12 +18,13 @@ from pathlib import Path
 from moutardkit import construct, moutard, search
 from moutardkit.gallery import get_example
 from moutardkit.polynomials import BivariatePoly, RationalFn
+from moutardkit.serialization import obj_to_poly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moutardkit"
+DATA = Path(__file__).parent / "data"
 
 ALLOWED = {
     "construct.SeedPair.__new__",
-    "construct.verify_lemma",
     "moutard.moutard_potential",
     "cli.cmd_verify",
 }
@@ -98,14 +101,25 @@ def count_verify_solution(monkeypatch):
     return calls
 
 
-def test_a_swapped_trial_proves_only_the_lemma(monkeypatch):
+def test_a_swapped_trial_proves_nothing_again(monkeypatch):
     pair = construct.SeedPair.harmonic(X, Y)  # F = -(x^2 + y^2)/2 swaps
     verified = count_verify_solution(monkeypatch)
     oriented = count_calls(monkeypatch, search, "leading_dominance")
     record = search.run_trial(0, pair)
     assert record.valid and record.seeds_obj == search._seeds_obj(pair.swapped())
-    assert len(verified) == 2  # verify_lemma's two branches
+    assert verified == []
     assert len(oriented) == 1
+
+
+def test_double_transform_proves_the_lemma_at_its_own_degree(monkeypatch):
+    obj = json.loads((DATA / "pair_d5.json").read_text(encoding="utf-8"))
+    seeds = construct.SeedPair.harmonic(obj_to_poly(obj["omega1"]), obj_to_poly(obj["omega2"]))
+    verified = count_verify_solution(monkeypatch)
+    products = count_calls(monkeypatch, BivariatePoly, "__mul__")
+    construct.double_transform(seeds, 358)
+    assert verified == []
+    # 4 for F, 7 for u = u0 - 2 Lap log W, 7 per seed for the lemma
+    assert len(products) <= 25
 
 
 def test_get_example_proves_only_its_own_seeds(monkeypatch):
