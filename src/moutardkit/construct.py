@@ -115,7 +115,7 @@ def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
     w_x, w_y, lap_w = w.diff_x(), w.diff_y(), w.laplacian()
     for omega in (seeds.omega1, seeds.omega2):
         grad_dot = w_x * omega.diff_x() + w_y * omega.diff_y()
-        residual = b * (grad_dot.scale(2) - w * omega.laplacian() - omega * lap_w) + a * (w * omega)
+        residual = b * (grad_dot.scale(2) - w * omega.laplacian() - omega * lap_w) + (a * w) * omega
         if not residual.is_zero:
             return False
     return True

@@ -102,9 +102,13 @@ def moutard_solution(omega: BivariatePoly, phi: BivariatePoly) -> BivariatePoly:
 def verify_solution(u: RationalFn, psi: RationalFn) -> bool:
     """True iff (-Lap + u) psi = 0 as an exact rational-function identity.
 
-    Uses the cross-multiplied form u.num*N*D^2 == M*u.den, where psi = N/D
-    and Lap(psi) = M/D^3, to keep the polynomial degrees minimal.
+    With u = U/V and psi = N/D this is V*D^3 times the claim, the polynomial
+
+        V*(2D*(grad D.grad N) - D^2*Lap N + D*N*Lap D - 2N*|grad D|^2) + U*N*D^2 = 0.
     """
     n, d = psi.num, psi.den
-    m = psi.laplacian().num
-    return (u.num * n * (d * d) - m * u.den).is_zero
+    d_x, d_y, d2 = d.diff_x(), d.diff_y(), d * d
+    grad_dot = d_x * n.diff_x() + d_y * n.diff_y()
+    neg_lap = d * (grad_dot.scale(2) + n * d.laplacian()) - d2 * n.laplacian()
+    neg_lap -= n * (d_x * d_x + d_y * d_y).scale(2)
+    return (u.den * neg_lap + u.num * n * d2).is_zero

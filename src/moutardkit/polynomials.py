@@ -16,7 +16,8 @@ integers: term (i, j) becomes the signed slot i*S + j of width k bits,
 i.e. the polynomial is evaluated at x = 2^(k*S), y = 2^k. The stride S
 exceeds the y-degree of the result, and k is chosen so that every result
 coefficient fits in a slot, so one big-integer product or `divmod` does
-the work of the whole term loop. An exact quotient by a primitive integer
+the work of the whole term loop. A constant factor is a scaling and
+never a Kronecker product. An exact quotient by a primitive integer
 divisor is integral (Gauss's lemma); it is unpacked, checked by
 multiplying back, and retried with wider slots up to the Mignotte bound
 on its coefficients.
@@ -255,8 +256,11 @@ class BivariatePoly:
 
     def __mul__(self, other) -> "BivariatePoly":
         if isinstance(other, BivariatePoly):
-            if not self._ints or not other._ints:
-                return BivariatePoly.zero()
+            # a constant operand, zero included, is a scaling of the other
+            if self._ints.keys() <= {(0, 0)}:
+                return other.scale(self.coefficient(0, 0))
+            if other._ints.keys() <= {(0, 0)}:
+                return self.scale(other.coefficient(0, 0))
             return BivariatePoly._raw(_int_mul(self._ints, other._ints), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -432,19 +436,6 @@ class RationalFn:
 
     def scale(self, factor: RationalLike) -> "RationalFn":
         return RationalFn(self.num.scale(factor), self.den)
-
-    def laplacian(self) -> "RationalFn":
-        """Exact quotient-rule Laplacian with denominator den**3."""
-        n, d = self.num, self.den
-        nx, ny = n.diff_x(), n.diff_y()
-        dx, dy = d.diff_x(), d.diff_y()
-        numerator = (
-            d * d * n.laplacian()
-            - d * (n * d.laplacian())
-            - (d * (nx * dx + ny * dy)).scale(2)
-            + (n * (dx * dx + dy * dy)).scale(2)
-        )
-        return RationalFn(numerator, d * d * d)
 
     def _int_pair(self) -> Tuple[IntTerms, IntTerms, int]:
         """Integers (num, den, d) with self(x/q, y/q) = _int_eval(num, d, x, y, q) /

@@ -1,16 +1,21 @@
 """The Kronecker-packed product and exact division against schoolbook loops."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moutardkit import polynomials
+from moutardkit.construct import SeedPair, double_transform
 from moutardkit.errors import ExactDivisionError
-from moutardkit.polynomials import BivariatePoly, term_sort_key
+from moutardkit.polynomials import BivariatePoly, RationalFn, term_sort_key
+from moutardkit.serialization import obj_to_poly, obj_to_rationalfn
 
 X, Y = BivariatePoly.variables()
 ONE = BivariatePoly.constant(1)
+DATA = Path(__file__).parent / "data"
 
 
 def schoolbook_mul(a: BivariatePoly, b: BivariatePoly) -> BivariatePoly:
@@ -77,6 +82,55 @@ class TestProduct:
     def test_extreme_coefficients_cancel(self):
         a, b = X.scale(big) + Y.scale(-big) + ONE, X.scale(big) + Y.scale(big)
         assert a * b == schoolbook_mul(a, b)
+
+
+def count_kronecker(monkeypatch):
+    """Record every call of the packed product `_int_mul`."""
+    calls = []
+    real = polynomials._int_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(polynomials, "_int_mul", counted)
+    return calls
+
+
+def load_seeds(name):
+    obj = json.loads((DATA / name).read_text(encoding="utf-8"))
+    u0 = obj_to_rationalfn(obj["u0"]) if "u0" in obj else RationalFn.zero()
+    return u0, obj_to_poly(obj["omega1"]), obj_to_poly(obj["omega2"])
+
+
+class TestConstantOperands:
+    @settings(max_examples=200, deadline=None)
+    @given(any_poly, st.fractions(max_denominator=50))
+    def test_a_constant_factor_is_a_scaling(self, p, value):
+        c = BivariatePoly.constant(value)  # zero included
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_kronecker(mp)
+            products = (p * c, c * p)
+        assert products == (p.scale(c.coefficient(0, 0)),) * 2
+        assert calls == []
+
+    def test_polynomial_seeds_cost_no_product(self, monkeypatch):
+        seeds = load_seeds("pair_d5.json")
+        calls = count_kronecker(monkeypatch)
+        SeedPair(*seeds)
+        assert len(calls) == 0  # 8 when constants went through the packed product
+
+    def test_monomial_background_costs_one_product_per_pair(self, monkeypatch):
+        seeds = load_seeds("pair_u0_x2.json")  # u0 = 2/x^2
+        calls = count_kronecker(monkeypatch)
+        SeedPair(*seeds)
+        assert len(calls) <= 1  # 16 when constants went through the packed product
+
+    def test_double_transform_products(self, monkeypatch):
+        seeds = SeedPair(*load_seeds("pair_d5.json"))
+        calls = count_kronecker(monkeypatch)
+        double_transform(seeds, 358)
+        assert len(calls) <= 14  # 18 when constants went through the packed product
 
 
 class TestExactDivision:

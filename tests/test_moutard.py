@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from moutardkit.errors import (
     InvariantViolated,
@@ -27,6 +28,32 @@ from moutardkit.polynomials import BivariatePoly, RationalFn
 X, Y = BivariatePoly.variables()
 ONE = BivariatePoly.constant(1)
 ZERO_U = RationalFn.zero()
+
+
+def quotient_rule_laplacian(psi: RationalFn) -> BivariatePoly:
+    """M with Lap(N/D) = M/D^3, by the quotient rule."""
+    n, d = psi.num, psi.den
+    nx, ny = n.diff_x(), n.diff_y()
+    dx, dy = d.diff_x(), d.diff_y()
+    return (
+        d * d * n.laplacian()
+        - d * (n * d.laplacian())
+        - (d * (nx * dx + ny * dy)).scale(2)
+        + (n * (dx * dx + dy * dy)).scale(2)
+    )
+
+
+def quotient_rule_verify(u: RationalFn, psi: RationalFn) -> bool:
+    """Reference check: (-Lap + u) psi = 0 iff U*N*D^2 == M*V."""
+    n, d = psi.num, psi.den
+    return (u.num * n * (d * d) - quotient_rule_laplacian(psi) * u.den).is_zero
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-5, 5), max_size=4
+).map(BivariatePoly)
+# a free u = a/b, u = Lap(psi)/psi, or that solution times b/b
+potential_modes = st.sampled_from(["free", "solved", "padded"])
 
 
 class TestMoutardPotential:
@@ -189,3 +216,29 @@ class TestVerifySolution:
 
     def test_non_solution(self):
         assert not verify_solution(ZERO_U, RationalFn(X * X))
+
+    def test_one_over_x(self):
+        # Lap(1/x) = 2/x^3
+        assert verify_solution(RationalFn(BivariatePoly.constant(2), X * X), RationalFn(ONE, X))
+        assert not verify_solution(ZERO_U, RationalFn(ONE, X))
+
+    def test_polynomial_psi_with_its_own_potential(self):
+        p = BivariatePoly({(3, 1): 2, (0, 2): -1, (1, 0): 5})
+        assert verify_solution(RationalFn(p.laplacian(), p), RationalFn(p))
+        assert not verify_solution(RationalFn(p.laplacian() + ONE, p), RationalFn(p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys, small_polys, small_polys, potential_modes)
+    def test_agrees_with_the_quotient_rule(self, n, d, a, b, mode):
+        assume(not d.is_zero and not b.is_zero)
+        psi = RationalFn(n, d)
+        if mode == "free":
+            u = RationalFn(a, b)
+        else:
+            # Lap(psi)/psi = M/(N*D^2)
+            assume(not n.is_zero)
+            pad = b if mode == "padded" else ONE
+            u = RationalFn(quotient_rule_laplacian(psi) * pad, n * d * d * pad)
+        expected = quotient_rule_verify(u, psi)
+        assert verify_solution(u, psi) == expected
+        assert expected or mode == "free"

@@ -174,16 +174,6 @@ class TestRationalFn:
         with pytest.raises(ZeroDivisionError):
             RationalFn(X, BivariatePoly.zero())
 
-    def test_laplacian_of_one_over_x(self):
-        lap = RationalFn(ONE, X).laplacian()
-        assert lap.num == BivariatePoly.constant(2)
-        assert lap.den == X * X * X
-
-    def test_laplacian_consistent_with_polynomials(self):
-        p = P({(3, 1): 2, (0, 2): -1, (1, 0): 5})
-        lifted = RationalFn(p).laplacian()
-        assert lifted.equals(RationalFn(p.laplacian()))
-
     def test_add_inverse_is_value_zero(self):
         f = RationalFn(ONE, X)
         assert (f + (-f)).equals(RationalFn.zero())
