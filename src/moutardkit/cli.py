@@ -32,7 +32,7 @@ from .errors import (
     NonPositiveLeadingForm,
     VerificationFailed,
 )
-from .polynomials import RationalFn, _int_eval, _integer_point
+from .polynomials import BivariatePoly, RationalFn, _int_eval, _integer_point
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -150,8 +150,8 @@ def cmd_transform(args) -> int:
 
     # outside `_load`: seeds that parse but are no SeedPair keep their typed error
     seeds = construct.SeedPair(*_load(args.seeds, "seeds", _seeds))
-    constant = _parse_fraction(args.constant)
-    result = construct.double_transform(seeds, constant)
+    constant = BivariatePoly.constant(_parse_fraction(args.constant))
+    result = construct.double_transform(seeds, construct.transform_family(seeds) + constant)
     _emit(serialization.dumps(_bundle_obj(result)), args.out)
     return EXIT_OK
 

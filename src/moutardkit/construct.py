@@ -25,7 +25,7 @@ from .errors import (
     SeedNotInKernel,
 )
 from .moutard import moutard_solution, potential_from_w, verify_solution
-from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
+from .polynomials import BivariatePoly, RationalFn
 
 
 def proportional(p: BivariatePoly, q: BivariatePoly) -> bool:
@@ -86,17 +86,15 @@ def transform_family(seeds: SeedPair) -> BivariatePoly:
     return moutard_solution(seeds.omega1, seeds.omega2)
 
 
-def double_transform(seeds: SeedPair, constant: RationalLike) -> DoubleMoutardResult:
-    """Run the whole scheme for a fixed choice of the free constant.
+def double_transform(seeds: SeedPair, w: BivariatePoly) -> DoubleMoutardResult:
+    """Run the whole scheme on W = lambda*F + C, F = transform_family(seeds).
 
-    psi1 = omega1/W and psi2 = -omega2/W are written down directly and
-    proved by `verify_lemma` alone; a failure means a defect, not bad
-    inputs.
+    Any other W raises InvariantViolated; C is read as W(0,0), since
+    F(0,0) = 0. psi1 = omega1/W and psi2 = -omega2/W are written down
+    directly and proved by `verify_lemma` alone.
     """
-    c = as_fraction(constant)
-    w = transform_family(seeds) + BivariatePoly.constant(c)
-    u = potential_from_w(seeds.u0, w)
-    result = DoubleMoutardResult(w, c, u, RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w))
+    psi1, psi2 = RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w)
+    result = DoubleMoutardResult(w, w.coefficient(0, 0), potential_from_w(seeds.u0, w), psi1, psi2)
     if not verify_lemma(seeds, result):
         raise InvariantViolated("(-Lap + u) psi1 or psi2 != 0")
     return result
@@ -107,8 +105,7 @@ def verify_lemma(seeds: SeedPair, result: DoubleMoutardResult) -> bool:
 
     Checks the module's identity for omega1 and omega2, reading only W from
     `result`. It is linear in W and holds for constants, so every
-    lambda*F + C passes (u is unchanged, psi_i is scaled); `double_transform`
-    is what makes W = F + C.
+    lambda*F + C passes (u is unchanged, psi_i is scaled).
     """
     w = result.w_poly
     a, b = seeds.u0.num, seeds.u0.den

@@ -39,15 +39,12 @@ class ClosedOneForm(NamedTuple("ClosedOneForm", [("p", BivariatePoly), ("q", Biv
         return cls(*iterable)
 
 
-def log_laplacian(g: BivariatePoly) -> RationalFn:
-    """Lap(log g) = (g*Lap(g) - g_x^2 - g_y^2) / g^2, exactly."""
-    gx, gy = g.diff_x(), g.diff_y()
-    return RationalFn(g * g.laplacian() - gx * gx - gy * gy, g * g)
-
-
 def potential_from_w(u0: RationalFn, w: BivariatePoly) -> RationalFn:
-    """u = u0 - 2*Lap(log W)."""
-    return u0 - log_laplacian(w).scale(2)
+    """u = u0 - 2*Lap(log W) = (a*W^2 - 2b*(W*Lap W - W_x^2 - W_y^2)) / (b*W^2), u0 = a/b."""
+    a, b = u0.num, u0.den
+    w_x, w_y, w2 = w.diff_x(), w.diff_y(), w * w
+    log_num = w * w.laplacian() - w_x * w_x - w_y * w_y
+    return RationalFn(a * w2 - (b * log_num).scale(2), b * w2)
 
 
 def moutard_potential(u: RationalFn, omega: BivariatePoly) -> RationalFn:

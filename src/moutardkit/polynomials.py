@@ -380,8 +380,9 @@ class BivariatePoly:
 class RationalFn:
     """A quotient of two bivariate polynomials, kept unreduced.
 
-    Equality of values is decided by `equals` (cross-multiplication);
-    `==` compares representations term for term.
+    A value pair (num, den) with no field arithmetic: callers build num
+    and den as polynomials. Equality of values is decided by `equals`
+    (cross-multiplication); `==` compares representations term for term.
     """
 
     __slots__ = ("num", "den")
@@ -409,33 +410,6 @@ class RationalFn:
     def equals(self, other: "RationalFn") -> bool:
         """Value equality: a/b == c/d iff a*d - c*b is the zero polynomial."""
         return (self.num * other.den - other.num * self.den).is_zero
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFn":
-        if isinstance(other, RationalFn):
-            return RationalFn(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, factor: RationalLike) -> "RationalFn":
-        return RationalFn(self.num.scale(factor), self.den)
 
     def _int_pair(self) -> Tuple[IntTerms, IntTerms, int]:
         """Integers (num, den, d) with self(x/q, y/q) = _int_eval(num, d, x, y, q) /

@@ -8,12 +8,12 @@ it never extrapolates.
 psi_i = +-omega_i/W is a square-summable kernel element only when
 W = F + C has no real zero, so each trial establishes one fact, W > 0,
 once. In a sweep `positivity.min_positive_constant` (re-exported here)
-returns C with W's certificate, `run_trial` checks that the W
-`double_transform` built is that F + C, and `_trial_report` reads the L2
-flags of psi_i off the certificate. `verify_example_full` may take C from
-an example's reference closed form and certifies W by `global_positivity`,
-since `example` prints the box certificate. Every positivity question
-goes to `positivity`; this module never sees a box.
+returns C with W's certificate, `run_trial` hands that F + C to
+`double_transform`, and `_trial_report` reads the L2 flags of psi_i off
+the certificate. `verify_example_full` may take C from an example's
+reference closed form and certifies W by `global_positivity`, since
+`example` prints the box certificate. Every positivity question goes to
+`positivity`; this module never sees a box.
 
 Over u0 = 0 the constant search carries the hint (omega1, conj(omega1)).
 On a conjugate-type pair, omega2 = conj(omega1) + t*omega1,
@@ -215,18 +215,16 @@ def run_trial(
 ) -> SearchRecord:
     """Orient, pick C by the constant search, transform, and analyze one seed pair.
 
-    The constant search certifies W = F + C, and the W `double_transform`
-    builds must be that polynomial. A pair without a positive orientation
-    or a certifiable constant is recorded as a failure; every other error
-    propagates.
+    The constant search certifies W = F + C, and `double_transform` is
+    run on that W. A pair without a positive orientation or a certifiable
+    constant is recorded as a failure; every other error propagates.
     """
     try:
         oriented, f = orient_for_positivity(seeds)
         constant, certificate = min_positive_constant(f, max_depth, _square_hint(oriented))
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
-    result = double_transform(oriented, constant)
-    _check(result.w_poly == f + BivariatePoly.constant(constant), "W is the searched F + C")
+    result = double_transform(oriented, f + BivariatePoly.constant(constant))
     return _trial_report(trial, oriented, result, certificate).record
 
 
@@ -280,7 +278,7 @@ def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Trial
     else:
         lam, c_total = calibrate_against(f, ref.w_poly)
         constant = c_total / lam
-    result = double_transform(oriented, constant)
+    result = double_transform(oriented, f + BivariatePoly.constant(constant))
     certificate = global_positivity(result.w_poly, max_depth)
     _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
     report = _trial_report(ident, oriented, result, certificate)

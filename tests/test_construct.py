@@ -18,7 +18,7 @@ from moutardkit.construct import (
     transform_family,
     verify_lemma,
 )
-from moutardkit import construct
+from moutardkit import construct, search
 from moutardkit.errors import (
     InvariantViolated,
     NoAffineMatch,
@@ -33,6 +33,11 @@ from moutardkit.serialization import obj_to_poly
 
 X, Y = BivariatePoly.variables()
 DATA = Path(__file__).parent / "data"
+
+
+def transform_at(seeds, c):
+    """`double_transform` on W = F + c."""
+    return double_transform(seeds, transform_family(seeds) + BivariatePoly.constant(c))
 
 
 class TestSeedPair:
@@ -75,7 +80,7 @@ class TestSeedPair:
 
 class TestDoubleTransform:
     def test_linear_seeds(self):
-        result = double_transform(SeedPair.harmonic(X, Y), 1)
+        result = transform_at(SeedPair.harmonic(X, Y), 1)
         expected_w = BivariatePoly(
             {(0, 0): 1, (2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)}
         )
@@ -90,7 +95,7 @@ class TestDoubleTransform:
         ex = get_example(1)
         lam, c_total = calibrate_against(transform_family(ex.seeds), ex.reference.w_poly)
         assert (lam, c_total) == (Fraction(-8), Fraction(160))
-        result = double_transform(ex.seeds, c_total / lam)
+        result = transform_at(ex.seeds, c_total / lam)
         assert result.u.equals(ex.reference.u)
 
     def test_first_example_swapped_orientation(self):
@@ -98,7 +103,7 @@ class TestDoubleTransform:
         seeds = ex.seeds.swapped()
         lam, c_total = calibrate_against(transform_family(seeds), ex.reference.w_poly)
         assert (lam, c_total) == (Fraction(8), Fraction(160))
-        result = double_transform(seeds, c_total / lam)
+        result = transform_at(seeds, c_total / lam)
         assert result.u.equals(ex.reference.u)
         # kernel functions are proportional to the reference pair, crosswise
         ref = ex.reference
@@ -106,15 +111,16 @@ class TestDoubleTransform:
         assert proportional(result.psi2.num * ref.psi1.den, ref.psi1.num * result.psi2.den)
 
     def test_theta_relation(self):
-        w = double_transform(SeedPair.harmonic(X, Y), 3).w_poly
+        w = transform_at(SeedPair.harmonic(X, Y), 3).w_poly
         theta1, theta2 = RationalFn(w, X), RationalFn(-w, Y)
-        lhs = theta2 * RationalFn(Y)
-        rhs = -(theta1 * RationalFn(X))
-        assert lhs.equals(rhs)  # omega2*theta2 = -omega1*theta1
+        # omega2*theta2 = -omega1*theta1, multiplied out by hand
+        lhs = RationalFn(theta2.num * Y, theta2.den)
+        rhs = RationalFn(-(theta1.num * X), theta1.den)
+        assert lhs.equals(rhs)
 
     def test_nonzero_background_pipeline(self):
         u0 = RationalFn(BivariatePoly.constant(2), X * X)
-        result = double_transform(SeedPair(u0, X * X, X * X * Y), 5)
+        result = transform_at(SeedPair(u0, X * X, X * X * Y), 5)
         assert verify_solution(result.u, result.psi1)
         assert verify_solution(result.u, result.psi2)
 
@@ -122,15 +128,20 @@ class TestDoubleTransform:
         # a typed error, not an assert, so it survives python -O
         monkeypatch.setattr(construct, "verify_lemma", lambda seeds, result: False)
         with pytest.raises(InvariantViolated, match="psi1"):
-            double_transform(SeedPair.harmonic(X, Y), 1)
+            transform_at(SeedPair.harmonic(X, Y), 1)
 
-    def test_broken_quadrature_is_caught_by_the_lemma(self, monkeypatch):
+    def test_broken_quadrature_is_caught_by_the_lemma(self):
         # the postcondition is verify_lemma alone; it must still see a W that
         # is not F + C
-        family = construct.transform_family
-        monkeypatch.setattr(construct, "transform_family", lambda seeds: family(seeds) + X * X * Y)
+        seeds = SeedPair.harmonic(X, Y)
+        w = transform_family(seeds) + BivariatePoly.constant(1) + X * X * Y
         with pytest.raises(InvariantViolated):
-            double_transform(SeedPair.harmonic(X, Y), 1)
+            double_transform(seeds, w)
+
+    def test_constant_is_read_off_w(self):
+        seeds = SeedPair.harmonic(X, Y)
+        w = transform_family(seeds).scale(-3) + BivariatePoly.constant(Fraction(7, 2))
+        assert double_transform(seeds, w).constant == Fraction(7, 2)
 
 
 class TestScalingInvariance:
@@ -145,7 +156,7 @@ class TestScalingInvariance:
 class TestVerifyLemma:
     def test_first_example(self):
         ex = get_example(1)
-        assert verify_lemma(ex.seeds, double_transform(ex.seeds, Fraction(-20)))
+        assert verify_lemma(ex.seeds, transform_at(ex.seeds, Fraction(-20)))
 
     def test_random_pairs(self):
         rng = random.Random(1234)
@@ -157,13 +168,13 @@ class TestVerifyLemma:
                 continue
             c = Fraction(rng.randint(1, 40), rng.randint(1, 7))
             seeds = SeedPair.harmonic(omega1, omega2)
-            assert verify_lemma(seeds, double_transform(seeds, c))
+            assert verify_lemma(seeds, transform_at(seeds, c))
             done += 1
 
     def test_proportional_seeds_error(self):
         with pytest.raises(ProportionalSeeds):
             seeds = SeedPair.harmonic(X, X.scale(2))
-            verify_lemma(seeds, double_transform(seeds, 1))
+            verify_lemma(seeds, transform_at(seeds, 1))
 
     @pytest.mark.parametrize(
         "make_w,passes",
@@ -182,7 +193,7 @@ class TestVerifyLemma:
         # that form fails, in every form of the lemma
         obj = json.loads((DATA / "pair_d5.json").read_text(encoding="utf-8"))
         seeds = SeedPair.harmonic(obj_to_poly(obj["omega1"]), obj_to_poly(obj["omega2"]))
-        w = make_w(double_transform(seeds, 358).w_poly)
+        w = make_w(transform_at(seeds, 358).w_poly)
         assert lemma_forms(seeds, w) == (passes, [(passes, passes), (passes, passes)])
 
 
@@ -203,6 +214,36 @@ def lemma_forms(seeds, w):
         )
         for omega, sign in ((seeds.omega1, 1), (seeds.omega2, -1))
     ]
+
+
+def parent_potential(u0, w):
+    """u0 - 2*Lap(log W) as it was built before `potential_from_w` wrote it
+    out: Lap(log W) = (W*Lap W - W_x^2 - W_y^2)/W^2, scaled by -2 and added
+    to u0 by cross-multiplication."""
+    w_x, w_y = w.diff_x(), w.diff_y()
+    log_num, log_den = w * w.laplacian() - w_x * w_x - w_y * w_y, w * w
+    return RationalFn(u0.num * log_den - log_num.scale(2) * u0.den, u0.den * log_den)
+
+
+class TestPrintedPotential:
+    """The u that `double_transform` prints, checked by routes that `verify_lemma`
+    does not take: it reads only W, so a wrong u would pass it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, "u0=2/x^2"]),
+        st.integers(0, 2**32 - 1),
+        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9)),
+    )
+    def test_u_solves_both_kernels_and_matches_the_formula(self, kind, rng_seed, c):
+        if kind == "u0=2/x^2":
+            seeds = SeedPair(U0_X2, X * X, X * X * Y)
+        else:
+            seeds = search._draw_pair(random.Random(rng_seed), kind, search.COEFFICIENT_BOUND)
+        result = transform_at(seeds, c)
+        assert verify_solution(result.u, result.psi1)
+        assert verify_solution(result.u, result.psi2)
+        assert result.u.equals(parent_potential(seeds.u0, result.w_poly))
 
 
 class TestSymmetricIdentity:

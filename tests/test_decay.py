@@ -27,7 +27,7 @@ class TestDecayExponent:
 
     def test_scale_invariance(self):
         for lam in (Fraction(3), Fraction(-1, 7)):
-            assert decay_exponent(REF.u.scale(lam)) == decay_exponent(REF.u)
+            assert decay_exponent(RationalFn(REF.u.num.scale(lam), REF.u.den)) == decay_exponent(REF.u)
 
     def test_invalid_bound_indefinite_denominator(self):
         f = RationalFn(ONE, X * X - Y * Y + BivariatePoly.constant(3))

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moutardkit import polynomials
-from moutardkit.construct import SeedPair, double_transform
+from moutardkit import cli, polynomials
+from moutardkit.construct import SeedPair, double_transform, transform_family
 from moutardkit.errors import ExactDivisionError
 from moutardkit.polynomials import BivariatePoly, RationalFn, term_sort_key
 from moutardkit.serialization import obj_to_poly, obj_to_rationalfn
@@ -128,9 +128,24 @@ class TestConstantOperands:
 
     def test_double_transform_products(self, monkeypatch):
         seeds = SeedPair(*load_seeds("pair_d5.json"))
+        w = transform_family(seeds) + BivariatePoly.constant(358)
         calls = count_kronecker(monkeypatch)
-        double_transform(seeds, 358)
-        assert len(calls) <= 14  # 18 when constants went through the packed product
+        double_transform(seeds, w)
+        assert len(calls) <= 10  # 14 when it integrated F itself
+
+    @pytest.mark.parametrize(
+        "argv,most",
+        [
+            (("transform", "--seeds", str(DATA / "pair_d5.json"), "--constant", "358"), 14),
+            (("transform", "--seeds", str(DATA / "pair_u0_x2.json"), "--constant", "3"), 18),
+            (("search", "--degree", "3", "--trials", "1", "--seed", "0"), 16),  # 20 with F twice
+        ],
+        ids=["transform-d5", "transform-u0-x2", "search-d3"],
+    )
+    def test_cli_products(self, monkeypatch, capsys, argv, most):
+        calls = count_kronecker(monkeypatch)
+        assert cli.main(list(argv)) == 0
+        assert len(calls) <= most
 
 
 class TestExactDivision:

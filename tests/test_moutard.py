@@ -17,7 +17,6 @@ from moutardkit.harmonic import random_combo
 from moutardkit.moutard import (
     ClosedOneForm,
     integrate_closed,
-    log_laplacian,
     moutard_potential,
     moutard_solution,
     solution_one_form,
@@ -72,8 +71,10 @@ class TestMoutardPotential:
         gy = BivariatePoly({(1, 0): 1, (0, 1): -4})  # x - 4y
         expected = RationalFn((gx * gx + gy * gy).scale(2), omega1 * omega1)
         assert u.equals(expected)
-        # cross-check against u - 2*Lap(log omega)
-        assert u.equals(ZERO_U - log_laplacian(omega1).scale(2))
+        # cross-check against u0 - 2*(omega*Lap(omega) - |grad omega|^2)/omega^2, u0 = 0
+        ox, oy = omega1.diff_x(), omega1.diff_y()
+        log_num = omega1 * omega1.laplacian() - ox * ox - oy * oy
+        assert u.equals(RationalFn(-log_num.scale(2), omega1 * omega1))
 
     def test_seed_not_in_kernel(self):
         with pytest.raises(SeedNotInKernel):

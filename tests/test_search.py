@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from moutardkit import decay, numeric, positivity, search, serialization
+from moutardkit import construct, decay, numeric, positivity, search, serialization
 from moutardkit.construct import SeedPair, double_transform, transform_family
-from moutardkit.errors import Inconclusive, NonPositiveLeadingForm, VerificationFailed
+from moutardkit.errors import Inconclusive, InvariantViolated, NonPositiveLeadingForm
 from moutardkit.harmonic import random_combo
 from moutardkit.polynomials import BivariatePoly
 from moutardkit.positivity import (
@@ -248,13 +248,10 @@ def test_run_trial_records_a_constant_search_without_certificate(monkeypatch):
 
 
 def test_run_trial_propagates_every_other_error(monkeypatch):
-    # a built W that is not the certified F + C is a pipeline defect, not
-    # a failed trial
-    def shifted_by_one(seeds, constant):
-        return double_transform(seeds, constant + 1)
-
-    monkeypatch.setattr(search, "double_transform", shifted_by_one)
-    with pytest.raises(VerificationFailed, match=r"W is the searched F \+ C"):
+    # a lemma that fails on the certified W is a pipeline defect, not a
+    # failed trial
+    monkeypatch.setattr(construct, "verify_lemma", lambda seeds, result: False)
+    with pytest.raises(InvariantViolated):
         search.run_trial(0, degree2_pair(1))
 
 
@@ -265,7 +262,7 @@ def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, s
     oriented, f = search.orient_for_positivity(pair)
     constant, certificate = search.min_positive_constant(f)
     assert isinstance(certificate, PositivityCertificate)
-    result = double_transform(oriented, constant)
+    result = double_transform(oriented, f + BivariatePoly.constant(constant))
     boxed = search._trial_report(seed, oriented, result, certificate)
 
     def no_box(tree, *args):

@@ -6,14 +6,19 @@ psi_i = +-omega_i/W, is proved by `verify_lemma` through its own
 polynomial identity, not by `verify_solution`. Any other use would prove
 one of these statements a second time. The counts below check the same at
 run time: a swapped pair, an unused example and a quadrature's 1-form are
-not proved again, and the lemma costs no `verify_solution` call."""
+not proved again, and the lemma costs no `verify_solution` call. Likewise
+a trial or an example integrates its quadrature F once: `double_transform`
+takes the W = F + C that its caller built."""
 
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from moutardkit import construct, moutard, search
 from moutardkit.gallery import get_example
@@ -114,12 +119,38 @@ def test_a_swapped_trial_proves_nothing_again(monkeypatch):
 def test_double_transform_proves_the_lemma_at_its_own_degree(monkeypatch):
     obj = json.loads((DATA / "pair_d5.json").read_text(encoding="utf-8"))
     seeds = construct.SeedPair.harmonic(obj_to_poly(obj["omega1"]), obj_to_poly(obj["omega2"]))
+    w = construct.transform_family(seeds) + BivariatePoly.constant(358)
     verified = count_verify_solution(monkeypatch)
     products = count_calls(monkeypatch, BivariatePoly, "__mul__")
-    construct.double_transform(seeds, 358)
+    construct.double_transform(seeds, w)
     assert verified == []
-    # 4 for F, 7 for u = u0 - 2 Lap log W, 7 per seed for the lemma
-    assert len(products) <= 25
+    # 7 for u = u0 - 2 Lap log W, 7 per seed for the lemma; F is the caller's
+    assert len(products) <= 21
+
+
+def count_quadratures(monkeypatch):
+    """Count `transform_family` calls under both names the package reads it by."""
+    calls = count_calls(monkeypatch, construct, "transform_family")
+    monkeypatch.setattr(search, "transform_family", construct.transform_family)
+    return calls
+
+
+@pytest.mark.parametrize("pair", ["swapped", "drawn"])
+def test_a_trial_integrates_the_quadrature_once(monkeypatch, pair):
+    if pair == "swapped":
+        seeds = construct.SeedPair.harmonic(X, Y)  # F = -(x^2 + y^2)/2
+    else:
+        seeds = search._draw_pair(random.Random(1), 2, search.COEFFICIENT_BOUND)
+    quadratures = count_quadratures(monkeypatch)
+    assert search.run_trial(0, seeds).valid
+    assert len(quadratures) == 1  # 2 when double_transform integrated F again
+
+
+@pytest.mark.parametrize("ident", [1, 2])
+def test_an_example_integrates_the_quadrature_once(monkeypatch, ident):
+    quadratures = count_quadratures(monkeypatch)
+    search.verify_example_full(ident)
+    assert len(quadratures) == 1
 
 
 def test_get_example_proves_only_its_own_seeds(monkeypatch):
