@@ -46,6 +46,12 @@ GOLDEN_STDOUT_SHA256 = [
         ("search", "--degree", "3", "--trials", "2", "--seed", "0"),
         "a15709fda93180b94262a73f14eee33432f69ece744bbb6bec1f368d1c32833e",
     ),
+    # both degree-3 trials above are conjugate-type and walk no box; these
+    # three trials make 18 box-tree walks
+    (
+        ("search", "--degree", "4", "--trials", "3", "--seed", "0"),
+        "3f056ae8b9177f704eb908b8ca42e82c00fb94728f200b6866c33b2a90b97886",
+    ),
 ]
 
 
