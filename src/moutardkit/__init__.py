@@ -5,10 +5,12 @@ two-dimensional kernel at zero energy.
 The pipeline: harmonic polynomial seed pairs feed two commuting Moutard
 transformations; the quadrature produces W = F + C, the potential
 u = -2*Lap(log W) and the kernel functions omega1/W, -omega2/W. All
-identities are verified with exact rational arithmetic, positivity of W
-is certified by Sturm sequences plus branch-and-bound, and decay rates
-follow from the degree gap once the denominator's leading form is
-positive on the unit circle.
+identities are verified with exact rational arithmetic. Positivity of W
+is proved by a two-square identity, or by branch-and-bound inside the
+radius beyond which a circle bound on W's leading form dominates; that
+bound is a radial comparison, with Sturm sequences only for non-radial
+forms. Decay rates follow from the degree gap once the denominator's
+leading form is positive on the unit circle.
 
 The exports are lazy (PEP 562): `import moutardkit` loads no submodule,
 and the first use of an exported name imports the module that defines it.

@@ -8,17 +8,11 @@ from the exponent, plus whether the rate is attained along generic rays.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import NonPositiveLeadingForm
 from .polynomials import RationalFn
-from .positivity import (
-    PositivityCertificate,
-    PositivityOutcome,
-    TwoSquareProof,
-    global_positivity,
-    leading_dominance,
-)
+from .positivity import PositivityCertificate, global_positivity, leading_dominance
 
 
 class DecayReport(NamedTuple):
@@ -58,25 +52,19 @@ def decay_exponent(f: RationalFn) -> DecayReport:
     return DecayReport(exponent=exponent, bound_valid=valid, exact_on_generic_ray=exact)
 
 
-def square_summable(
-    report: DecayReport, den_outcome: Union[PositivityOutcome, TwoSquareProof]
-) -> bool:
-    """The L2 rule: psi = N/D is certifiably square-summable over the plane
-    iff D is certified positive (no real poles) and psi's decay bound is
-    valid with exponent >= 2 (then the radial integral of |psi|^2 converges).
-    A box certificate, or a two-square proof with a positive floor,
-    certifies D.
+def square_summable(report: DecayReport) -> bool:
+    """The decay half of the L2 rule. psi = N/D is square-summable over the
+    plane iff D is certified positive (no real poles), which the caller
+    proves, and psi's decay bound is valid with exponent >= 2 (then the
+    radial integral of |psi|^2 converges), which this reads.
     """
-    certified = isinstance(den_outcome, PositivityCertificate) or (
-        isinstance(den_outcome, TwoSquareProof) and den_outcome.floor > 0
-    )
-    return certified and report.bound_valid and report.exponent >= 2
+    return report.bound_valid and report.exponent >= 2
 
 
 def l2_membership(psi: RationalFn) -> bool:
-    """`square_summable` for psi after certifying its denominator here; a
-    caller holding that certificate already (search, for W) applies the
-    rule directly. Inconclusive positivity propagates, never guessed.
+    """The L2 rule for psi: its denominator certified positive here by
+    `global_positivity`, and `square_summable` on its decay report.
+    Inconclusive positivity propagates, never guessed.
     """
-    outcome = global_positivity(psi.den)
-    return square_summable(decay_exponent(psi), outcome)
+    certified = isinstance(global_positivity(psi.den), PositivityCertificate)
+    return certified and square_summable(decay_exponent(psi))

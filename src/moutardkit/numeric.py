@@ -131,7 +131,7 @@ def numeric_l2_norm(
             f"denominator is not positive (counterexample at {outcome.point})"
         )
     report = decay_exponent(psi)
-    if not square_summable(report, outcome):
+    if not square_summable(report):
         raise ValueError("tail bound needs a valid decay exponent >= 2")
     k = report.exponent
     m, lower_sum, _ = leading_dominance(psi.den)

@@ -174,10 +174,7 @@ class BivariatePoly:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: RationalLike = 1) -> "BivariatePoly":
-        c = as_fraction(coeff)
-        if i < 0 or j < 0:
-            raise ValueError("negative exponent")
-        return cls._raw({(i, j): c.numerator} if c else {}, c.denominator)
+        return cls({(i, j): coeff})
 
     @classmethod
     def variables(cls) -> Tuple["BivariatePoly", "BivariatePoly"]:

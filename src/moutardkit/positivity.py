@@ -8,10 +8,10 @@ dominate.
 `global_positivity(w, max_depth)` certifies w > 0 on the plane or refutes
 it at a rational point. `two_squares(w, p, q)` checks the identity
 w = w(0,0) + mu*(p^2 + q^2) with mu > 0, which proves w >= w(0,0) with no
-box at all. `min_positive_constant(f, max_depth, square)` finds a
-constant C that makes f + C certifiable and returns it with the
-certificate of f + C: that identity when a hint (p, q) verifies, and
-otherwise the box certificate.
+box at all. `min_positive_constant(f, max_depth, square)` returns the
+constant C that makes f + C certifiable, by that identity when a hint
+(p, q) verifies and otherwise by the box tree; it keeps no certificate,
+and only `global_positivity` builds one.
 
 Inside the cutoff radius the plane is covered by branch-and-bound with
 centered-form bounds, on integers: boxes are dyadic cells of the root
@@ -20,8 +20,7 @@ built only for the cells and points reported. One box tree holds the
 bounds per box of G = w - w(0,0); no bound depends on the depth limit or
 on a constant offset, so the tree decides G + k for every constant k at
 every depth limit by integer comparisons. The constant search probes
-F + c on one tree of F's and builds the certificate of F + C from the
-cells of its last certifying probe, so nothing walks that tree again.
+F + c on one tree of F's and keeps only whether each probe certified.
 `Inconclusive` is an explicit outcome, never treated as positive.
 """
 
@@ -357,18 +356,18 @@ def min_positive_constant(
     f: BivariatePoly,
     max_depth: int = DEFAULT_MAX_DEPTH,
     square: Optional[Tuple[BivariatePoly, BivariatePoly]] = None,
-) -> Tuple[Fraction, Union[PositivityCertificate, TwoSquareProof]]:
-    """(C, certificate of W = F + C) for the smallest power of two C in
-    [REFINE_FLOOR, DOUBLING_CAP] that makes F + C certifiably positive;
-    raising the offset never undoes a certification, so a walk over the
-    powers of two finds it.
+) -> Fraction:
+    """The smallest power of two C in [REFINE_FLOOR, DOUBLING_CAP] that
+    makes W = F + C certifiably positive; raising the offset never undoes
+    a certification, so a walk over the powers of two finds it. C is
+    returned only when F + C is certified, so a caller has W > 0 from C.
 
     Certifiably means by the two-square identity or by the box tree. When
     the hint square = (p, q) verifies as `two_squares(f, p, q)` with
     F(0,0) = 0, then F >= 0 and every c > 0 certifies: C is REFINE_FLOOR
-    at every depth limit, the certificate is that proof with floor C, and
-    no box is bounded. A hint that does not verify, or verifies with
-    F(0,0) != 0, leaves the search to the box tree exactly as without one.
+    at every depth limit and no box is bounded. A hint that does not
+    verify, or verifies with F(0,0) != 0, leaves the search to the box
+    tree exactly as without one.
 
     The walk probes c = 1 first. If it certifies, halves while
     c > REFINE_FLOOR and c/2 certifies; otherwise doubles until a probe
@@ -376,9 +375,7 @@ def min_positive_constant(
     that is refuted or comes back Inconclusive counts as not certifiable
     at the depth limit. Every probe walks the tree of G = F - F(0,0) at
     offset c + F(0,0), which decides F + c exactly as
-    `global_positivity(F + c)` does, and the certificate is built from the
-    cells of the last probe that certified: it equals
-    `global_positivity(F + C, max_depth)`. Building the tree raises
+    `global_positivity(F + c, max_depth)` does. Building the tree raises
     NonPositiveLeadingForm when no constant can work.
     """
     if f.degree <= 0:
@@ -386,28 +383,23 @@ def min_positive_constant(
     if square is not None:
         proof = two_squares(f, *square)
         if proof is not None and proof.floor == 0:
-            return REFINE_FLOOR, proof._replace(floor=REFINE_FLOOR)
+            return REFINE_FLOOR
     f0 = f.coefficient(0, 0)
     tree = _BoxTree(f - BivariatePoly.constant(f0))
 
-    def certified_cells(c: Fraction) -> Optional[List[Tuple[int, int, int, int]]]:
+    def certifies(c: Fraction) -> bool:
         try:
-            outcome = tree.traverse(c + f0, max_depth)
+            return isinstance(tree.traverse(c + f0, max_depth), list)
         except Inconclusive:
-            return None
-        return outcome if isinstance(outcome, list) else None
+            return False
 
     c = Fraction(1)
-    cells = certified_cells(c)
-    if cells is not None:
-        while c > REFINE_FLOOR:
-            half = certified_cells(c / 2)
-            if half is None:
-                break
-            c, cells = c / 2, half
-    while cells is None:
+    certified = certifies(c)
+    while certified and c > REFINE_FLOOR and certifies(c / 2):
+        c = c / 2
+    while not certified:
         c *= 2
         if c > DOUBLING_CAP:
             raise Inconclusive(max_depth, f"no certifiable constant up to {DOUBLING_CAP}")
-        cells = certified_cells(c)
-    return c, _certificate(tree, c + f0, cells)
+        certified = certifies(c)
+    return c

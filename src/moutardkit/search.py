@@ -8,25 +8,24 @@ it never extrapolates.
 psi_i = +-omega_i/W is a square-summable kernel element only when
 W = F + C has no real zero, so each trial establishes one fact, W > 0,
 once. In a sweep `positivity.min_positive_constant` (re-exported here)
-returns C with W's certificate, `run_trial` hands that F + C to
-`double_transform`, and `_trial_report` reads the L2 flags of psi_i off
-the certificate. `verify_example_full` may take C from an example's
-reference closed form and certifies W by `global_positivity`, since
-`example` prints the box certificate. Every positivity question goes to
-`positivity`; this module never sees a box.
+returns C only when W = F + C is certified, so `run_trial` hands that W
+to `double_transform` with W > 0 established and builds no certificate.
+`verify_example_full` may take C from an example's reference closed form
+and certifies W by `global_positivity`, since `example` prints the box
+certificate. Every positivity question goes to `positivity`; this module
+never sees a box.
 
 Over u0 = 0 the constant search carries the hint (omega1, conj(omega1)).
 On a conjugate-type pair, omega2 = conj(omega1) + t*omega1,
 `positivity.two_squares` verifies F = mu*(omega1^2 + conj(omega1)^2) with
-mu > 0: C is then REFINE_FLOOR with no box, and the proof W >= C > 0 is
-W's certificate in a sweep.
+mu > 0: C is then REFINE_FLOOR with no box, since W >= C > 0.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 from .construct import (
     DoubleMoutardResult,
@@ -44,7 +43,6 @@ from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
     DEFAULT_MAX_DEPTH,
     PositivityCertificate,
-    TwoSquareProof,
     global_positivity,
     leading_dominance,
     min_positive_constant,
@@ -164,7 +162,7 @@ class TrialReport(NamedTuple):
 
     record: SearchRecord
     result: DoubleMoutardResult
-    certificate: Union[PositivityCertificate, TwoSquareProof]
+    certificate: Optional[PositivityCertificate]  # W's, when `example` prints it
     u_report: DecayReport
     psi1_report: DecayReport
     psi2_report: DecayReport
@@ -176,12 +174,13 @@ def _trial_report(
     trial: int,
     oriented: SeedPair,
     result: DoubleMoutardResult,
-    certificate: Union[PositivityCertificate, TwoSquareProof],
+    certificate: Optional[PositivityCertificate],
 ) -> TrialReport:
-    """Analyze a transformed pair whose W = F + C has `certificate`.
+    """Analyze a transformed pair whose W = F + C the caller has proved
+    positive, carrying W's box `certificate` if the caller prints one.
 
-    psi1 and psi2 have denominator W, so their L2 flags read that
-    certificate.
+    psi1 and psi2 have denominator W > 0, so their L2 flags are the decay
+    half of the rule, `square_summable`.
     """
     u_report = decay_exponent(result.u)
     psi1_report = decay_exponent(result.psi1)
@@ -203,8 +202,8 @@ def _trial_report(
         u_report=u_report,
         psi1_report=psi1_report,
         psi2_report=psi2_report,
-        l2_psi1=square_summable(psi1_report, certificate),
-        l2_psi2=square_summable(psi2_report, certificate),
+        l2_psi1=square_summable(psi1_report),
+        l2_psi2=square_summable(psi2_report),
     )
 
 
@@ -216,16 +215,17 @@ def run_trial(
     """Orient, pick C by the constant search, transform, and analyze one seed pair.
 
     The constant search certifies W = F + C, and `double_transform` is
-    run on that W. A pair without a positive orientation or a certifiable
-    constant is recorded as a failure; every other error propagates.
+    run on that W; no certificate object is built. A pair without a
+    positive orientation or a certifiable constant is recorded as a
+    failure; every other error propagates.
     """
     try:
         oriented, f = orient_for_positivity(seeds)
-        constant, certificate = min_positive_constant(f, max_depth, _square_hint(oriented))
+        constant = min_positive_constant(f, max_depth, _square_hint(oriented))
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
     result = double_transform(oriented, f + BivariatePoly.constant(constant))
-    return _trial_report(trial, oriented, result, certificate).record
+    return _trial_report(trial, oriented, result, None).record
 
 
 def sweep(
@@ -274,7 +274,7 @@ def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Trial
     oriented, f = orient_for_positivity(example.seeds)
     ref = example.reference
     if ref is None:
-        constant, _ = min_positive_constant(f, max_depth, _square_hint(oriented))
+        constant = min_positive_constant(f, max_depth, _square_hint(oriented))
     else:
         lam, c_total = calibrate_against(f, ref.w_poly)
         constant = c_total / lam

@@ -111,6 +111,17 @@ def test_golden_stdout(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+def test_example_exits_false_when_an_invariant_breaks(monkeypatch, capsys):
+    # example 1's u decays at rate 6, so a claimed rate 7 must fail the run
+    monkeypatch.setitem(
+        gallery.EXAMPLES, 1, lambda: gallery._example_1()._replace(expected_u_decay=7)
+    )
+    assert run("example", "1") == cli.EXIT_FALSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: failed invariant: u decays at rate 7\n"
+
+
 def test_search_proves_conjugate_type_trials_at_any_depth_limit(capsys):
     # at depth 2 the box tree certifies these six trials only at C = 2^32 to
     # 2^39; trials 0-4 are conjugate-type and their two-square identity

@@ -7,7 +7,6 @@ import pytest
 from moutardkit.decay import DecayReport, decay_exponent, l2_membership, square_summable
 from moutardkit.gallery import get_example
 from moutardkit.polynomials import BivariatePoly, RationalFn
-from moutardkit.positivity import TwoSquareProof
 
 X, Y = BivariatePoly.variables()
 ONE = BivariatePoly.constant(1)
@@ -64,8 +63,9 @@ class TestL2Membership:
     def test_pole_rejected(self):
         assert not l2_membership(RationalFn(ONE, X * X + Y * Y))
 
-    def test_two_square_proof_certifies_a_positive_floor_only(self):
-        # D = floor + x^2 + y^2 has no real pole exactly when floor > 0
-        report = decay_exponent(RationalFn(ONE, ONE + X * X + Y * Y))
-        assert square_summable(report, TwoSquareProof(X, Y, Fraction(1), Fraction(1, 64)))
-        assert not square_summable(report, TwoSquareProof(X, Y, Fraction(1), Fraction(0)))
+    def test_square_summable_is_the_decay_half_of_the_rule(self):
+        # the pole of 1/(x^2 + y^2) is l2_membership's to rule out, not
+        # square_summable's: that reads the decay report alone
+        assert square_summable(decay_exponent(RationalFn(ONE, X * X + Y * Y)))
+        assert not square_summable(decay_exponent(RationalFn(X, ONE + X * X + Y * Y)))
+        assert not square_summable(DecayReport(4, False, True))

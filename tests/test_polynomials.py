@@ -99,6 +99,13 @@ class TestStructure:
         )
         assert omega2.leading_form() == P({(2, 1): -12, (0, 3): 4})
 
+    @pytest.mark.parametrize("pair", [(1.5, 0), (True, 0), (-1, 0), (0, -1)])
+    def test_both_constructors_reject_a_bad_exponent_pair(self, pair):
+        with pytest.raises(ValueError, match="bad exponent pair"):
+            BivariatePoly({pair: 1})
+        with pytest.raises(ValueError, match="bad exponent pair"):
+            BivariatePoly.monomial(*pair)
+
     def test_leading_form_of_zero_rejected(self):
         with pytest.raises(ValueError):
             BivariatePoly.zero().leading_form()

@@ -402,7 +402,7 @@ def bounds_calls(monkeypatch):
 
 @pytest.mark.parametrize("max_depth", [DEFAULT_MAX_DEPTH, 12])
 def test_run_trial_bounds_only_the_constant_search_boxes(monkeypatch, bounds_calls, max_depth):
-    # a generic pair: W's certificate is the one the constant search built
+    # a generic pair: the constant search alone certifies W
     pair = search._draw_pair(random.Random(5), 2, 5)
     oriented, f = search.orient_for_positivity(pair)
     positivity.min_positive_constant(f, max_depth, search._square_hint(oriented))
@@ -420,15 +420,14 @@ def test_run_trial_bounds_only_the_constant_search_boxes(monkeypatch, bounds_cal
 def test_min_positive_constant_returns_the_proof_of_w_on_a_conjugate_type_pair(
     bounds_calls, degree, seed
 ):
+    # the C returned is the floor of W's two-square proof, found with no box
     oriented, f = oriented_pair(degree, seed)
-    constant, proof = positivity.min_positive_constant(
-        f, DEFAULT_MAX_DEPTH, search._square_hint(oriented)
-    )
-    assert isinstance(proof, TwoSquareProof)
-    assert proof.floor == constant == positivity.REFINE_FLOOR
-    w = f + BivariatePoly.constant(constant)
-    assert two_squares(w, proof.p, proof.q) == proof
+    hint = search._square_hint(oriented)
+    constant = positivity.min_positive_constant(f, DEFAULT_MAX_DEPTH, hint)
+    assert constant == positivity.REFINE_FLOOR
     assert bounds_calls[0] == 0
+    proof = two_squares(f + BivariatePoly.constant(constant), *hint)
+    assert isinstance(proof, TwoSquareProof) and proof.floor == constant
 
 
 def test_example_2_bounds_each_box_once(bounds_calls):
@@ -442,10 +441,9 @@ def test_min_positive_constant_proves_a_verified_hint_with_no_box(bounds_calls):
     oriented, f = search.orient_for_positivity(get_example(2).seeds)
     hint = conjugate_hint(oriented.omega1)
     for depth in (2, DEFAULT_MAX_DEPTH):
-        constant, _ = positivity.min_positive_constant(f, depth, hint)
-        assert constant == positivity.REFINE_FLOOR
+        assert positivity.min_positive_constant(f, depth, hint) == positivity.REFINE_FLOOR
     assert bounds_calls[0] == 0
-    assert positivity.min_positive_constant(f, 2)[0] > 1
+    assert positivity.min_positive_constant(f, 2) > 1
 
 
 @pytest.mark.parametrize("shift", [1, -3], ids=["f+1", "f-3"])

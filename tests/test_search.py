@@ -59,40 +59,36 @@ def test_draw_pair_stream_is_pinned(degree):
 
 def reference_min_positive_constant(f, max_depth=DEFAULT_MAX_DEPTH):
     """The constant bisection with one full global_positivity(F + c) per
-    probe, handing on the last certifying probe's certificate."""
+    probe, each building its own certificate."""
 
-    def certify(c):
+    def certifies(c):
         try:
             outcome = global_positivity(f + BivariatePoly.constant(c), max_depth)
         except Inconclusive:
-            return None
-        return outcome if isinstance(outcome, PositivityCertificate) else None
+            return False
+        return isinstance(outcome, PositivityCertificate)
 
     lo = Fraction(0)
     hi = Fraction(1)
-    certificate = certify(hi)
-    while certificate is None:
+    while not certifies(hi):
         lo = hi
         hi = hi * 2
         if hi > positivity.DOUBLING_CAP:
             raise Inconclusive(max_depth, f"no certifiable constant up to {positivity.DOUBLING_CAP}")
-        certificate = certify(hi)
     while (lo == 0 and hi > positivity.REFINE_FLOOR) or (lo > 0 and hi > 2 * lo):
         mid = (lo + hi) / 2
-        probe = certify(mid)
-        if probe is None:
-            lo = mid
+        if certifies(mid):
+            hi = mid
         else:
-            hi, certificate = mid, probe
-    return hi, certificate
+            lo = mid
+    return hi
 
 
 def constant_search_outcome(find, f, *depth):
     try:
-        constant, certificate = find(f, *depth)
+        return find(f, *depth)
     except (Inconclusive, NonPositiveLeadingForm) as exc:
         return type(exc).__name__, str(exc)
-    return constant, certificate.to_obj()
 
 
 # (degree, seed) of oriented pairs from search's generator; f - 40 has a
@@ -106,7 +102,8 @@ def test_min_positive_constant_matches_one_global_positivity_per_probe(degree, s
     f = f + BivariatePoly.constant(shift)
     depth = () if max_depth is None else (max_depth,)
     expected = constant_search_outcome(reference_min_positive_constant, f, *depth)
-    assert constant_search_outcome(search.min_positive_constant, f, *depth) == expected
+    outcome = constant_search_outcome(search.min_positive_constant, f, *depth)
+    assert outcome == expected and type(outcome) is type(expected)
 
 
 # (degree, seed) of conjugate-type pairs from search's generator:
@@ -117,8 +114,8 @@ CONJUGATE_TYPE_PAIRS = [(2, 0), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2)]
 @pytest.mark.parametrize("degree,seed", CONJUGATE_TYPE_PAIRS)
 def test_hinted_constant_is_the_box_tree_constant_at_the_default_depth(degree, seed):
     oriented, f = search.orient_for_positivity(search._draw_pair(random.Random(seed), degree, 5))
-    hinted, _ = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
-    assert hinted == reference_min_positive_constant(f)[0] == positivity.REFINE_FLOOR
+    hinted = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
+    assert hinted == reference_min_positive_constant(f) == positivity.REFINE_FLOOR
 
 
 def test_min_positive_constant_stops_at_the_doubling_cap():
@@ -134,11 +131,10 @@ def test_min_positive_constant_stops_at_the_doubling_cap():
 
 @pytest.mark.parametrize("seed", FAST_PAIR_SEEDS)
 def test_min_positive_constant_returns_the_certificate_of_f_plus_c(seed):
-    # F + C certifies and F + C/2 does not
+    # the C returned gives F + C a certificate, and F + C/2 has none
     _, f = search.orient_for_positivity(degree2_pair(seed))
-    constant, certificate = search.min_positive_constant(f)
-    assert isinstance(certificate, PositivityCertificate)
-    assert certificate == global_positivity(f + BivariatePoly.constant(constant))
+    constant = search.min_positive_constant(f)
+    assert isinstance(global_positivity(f + BivariatePoly.constant(constant)), PositivityCertificate)
     assert constant > positivity.REFINE_FLOOR
     try:
         half = global_positivity(f + BivariatePoly.constant(constant / 2))
@@ -260,10 +256,11 @@ def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, s
     # the record the box tree gives: the constant search without the hint
     pair = search._draw_pair(random.Random(seed), degree, 5)
     oriented, f = search.orient_for_positivity(pair)
-    constant, certificate = search.min_positive_constant(f)
-    assert isinstance(certificate, PositivityCertificate)
-    result = double_transform(oriented, f + BivariatePoly.constant(constant))
-    boxed = search._trial_report(seed, oriented, result, certificate)
+    constant = search.min_positive_constant(f)
+    w = f + BivariatePoly.constant(constant)
+    assert isinstance(global_positivity(w), PositivityCertificate)
+    result = double_transform(oriented, w)
+    boxed = search._trial_report(seed, oriented, result, None)
 
     def no_box(tree, *args):
         pytest.fail("bounded a box")
@@ -278,10 +275,10 @@ def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, s
     monkeypatch.setattr(positivity, "two_squares", counting_two_squares)
     assert search.run_trial(seed, pair) == boxed.record
     assert len(squares) == 1
-    hinted, proof = search.min_positive_constant(f, DEFAULT_MAX_DEPTH, search._square_hint(oriented))
-    assert proof.floor == hinted == constant
-    proved = search._trial_report(seed, oriented, result, proof)
-    assert (proved.l2_psi1, proved.l2_psi2) == (boxed.l2_psi1, boxed.l2_psi2) == (True, True)
+    hint = search._square_hint(oriented)
+    assert search.min_positive_constant(f, DEFAULT_MAX_DEPTH, hint) == constant
+    assert two_squares(w, *hint).floor == constant
+    assert (boxed.l2_psi1, boxed.l2_psi2) == (True, True)
 
 
 def test_run_trial_certified_record():

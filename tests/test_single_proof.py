@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from moutardkit import construct, moutard, search
+from moutardkit import cli, construct, moutard, positivity, search
 from moutardkit.gallery import get_example
 from moutardkit.polynomials import BivariatePoly, RationalFn
 from moutardkit.serialization import obj_to_poly
@@ -183,3 +183,22 @@ def test_solution_one_form_leaves_closedness_to_the_form(monkeypatch):
     assert len(products) == 4  # two each in P and Q
     assert laplacians == []
     assert isinstance(form, moutard.ClosedOneForm)
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (("search", "--degree", "3", "--trials", "6", "--seed", "0"), 0),
+        (("search", "--degree", "2", "--trials", "6", "--seed", "0"), 0),
+        (("example", "1"), 1),
+        (("example", "2"), 1),
+    ],
+    ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
+)
+def test_a_certificate_is_built_only_where_it_is_printed(monkeypatch, capsys, argv, built):
+    # a sweep prints records alone: its constant search proves W > 0 and
+    # keeps no cells; `example` prints W's box certificate, built once
+    certificates = count_calls(monkeypatch, positivity, "_certificate")
+    assert cli.main(list(argv)) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(certificates) == built
