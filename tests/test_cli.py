@@ -285,6 +285,11 @@ REFERENCE_STDOUT_SHA256 = [
         ("positivity", "--poly", "w"),
         "58c94ba19a0cc81d0155542a8c08963af4af20ee5dc38dd5aa0650522345aa40",
     ),
+    # x^4 + 2y^4 + 1 - xy: a certificate whose circle bound comes from Sturm chains
+    (
+        ("positivity", "--poly", str(DATA / "positivity" / "nonradial_certified.json")),
+        "e5c59bd1a00eee49a06764bc69446cf77bb4b5988a8fbd8f2932c367a296a017",
+    ),
     # recorded with the Fraction evaluation loop, at the default resolution 101
     (("sample", "--fn", "psi1"), "cb4b658dc2378456c53bb7eda3b98f2303230516155d3c41fe8f2bc65ee30a99"),
     # recorded with the one-dimensional darboux1d subcommand still in the parser
@@ -298,7 +303,14 @@ REFERENCE_STDOUT_SHA256 = [
 @pytest.mark.parametrize(
     "argv,digest",
     REFERENCE_STDOUT_SHA256,
-    ids=["sample-psi1", "sample-inv-x-poles", "positivity-w", "sample-psi1-default", "verify-u-psi1"],
+    ids=[
+        "sample-psi1",
+        "sample-inv-x-poles",
+        "positivity-w",
+        "positivity-nonradial",
+        "sample-psi1-default",
+        "verify-u-psi1",
+    ],
 )
 def test_golden_stdout_on_reference_files(argv, digest, tmp_path, capsys):
     files = reference_files(tmp_path)

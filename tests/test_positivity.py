@@ -1,12 +1,14 @@
 """Exact positivity certification: circle bounds, certificates, refutations."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from moutardkit import positivity, search, sturm
+from moutardkit import positivity, search, serialization, sturm
 from moutardkit.construct import transform_family
 from moutardkit.errors import Inconclusive, NonPositiveLeadingForm
 from moutardkit.gallery import get_example
@@ -36,6 +38,17 @@ W_SEARCH = BivariatePoly(
         (4, 0): Fraction(25, 2), (2, 2): 25, (0, 4): Fraction(25, 2),
     }
 )
+CORPUS = Path(__file__).parent / "data" / "positivity"
+
+
+def corpus_poly(name):
+    """One polynomial of the hard-input corpus, read as `positivity --poly` reads it."""
+    return serialization.obj_to_poly(json.loads((CORPUS / f"{name}.json").read_text(encoding="utf-8")))
+
+
+# x^4 + 2y^4 + 1 - xy: its leading form is not radial, so the circle test
+# runs Sturm chains
+W_NONRADIAL = corpus_poly("nonradial_certified")
 
 
 def circle_bound(p):
@@ -171,7 +184,7 @@ class TestGlobalPositivity:
         assert all(cell.lower_bound > 0 for cell in outcome.cells)
 
     def test_cells_tile_the_square(self):
-        for w in (W_REF, W_SEARCH):
+        for w in (W_REF, W_SEARCH, W_NONRADIAL):
             cert = global_positivity(w)
             side = 2 * cert.cutoff_radius
             area = sum(
@@ -182,7 +195,7 @@ class TestGlobalPositivity:
 
     def test_cell_bounds_sound(self):
         rng = random.Random(99)
-        for w in (W_REF, W_SEARCH):
+        for w in (W_REF, W_SEARCH, W_NONRADIAL):
             for cell in global_positivity(w).cells:
                 x_lo, x_hi, y_lo, y_hi = cell.box
                 for _ in range(3):
@@ -249,6 +262,32 @@ class TestGlobalPositivity:
     def test_certificate_roundtrip(self):
         cert = global_positivity(W_REF)
         assert PositivityCertificate.from_obj(cert.to_obj()) == cert
+
+
+# the hard-input corpus at depth limit 40: outcome and _BoxTree.bounds calls
+CORPUS_OUTCOMES = [
+    # min 0 at (+-sqrt 2, 0), positive at every rational point; top x^4 + y^4
+    ("touching_zero_nonradial", "Inconclusive", 362),
+    # zero on x^2 + y^2 = 3, which has no rational point; radial top
+    ("zero_on_a_circle", "Inconclusive", 410),
+    # 120 cells, max depth 8
+    ("nonradial_certified", (120, 8), 239),
+    ("odd_degree", "NonPositiveLeadingForm", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,outcome,calls", CORPUS_OUTCOMES, ids=[name for name, _, _ in CORPUS_OUTCOMES]
+)
+def test_corpus_outcomes(name, outcome, calls, bounds_calls):
+    try:
+        cert = global_positivity(corpus_poly(name), 40)
+    except (Inconclusive, NonPositiveLeadingForm) as exc:
+        found = type(exc).__name__
+    else:
+        found = (len(cert.cells), cert.max_depth_used)
+    assert found == outcome
+    assert bounds_calls[0] == calls
 
 
 def conjugate_hint(omega):
