@@ -32,7 +32,7 @@ _EXPORTS = {
     "decay": ("DecayReport", "decay_exponent", "l2_membership"),
     "errors": ("MoutardKitError",),
     "gallery": ("get_example",),
-    "harmonic": ("HarmonicCombo", "harmonic_basis", "is_harmonic", "random_combo"),
+    "harmonic": ("HarmonicCombo", "harmonic_basis", "random_combo"),
     "moutard": (
         "ClosedOneForm",
         "integrate_closed",

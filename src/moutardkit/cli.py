@@ -130,7 +130,7 @@ def _bundle_obj(result) -> dict:
 def cmd_example(args) -> int:
     from . import search
 
-    report = search.verify_example_full(args.ident, args.max_depth)
+    report, certificate = search.verify_example_full(args.ident, args.max_depth)
     obj = {
         "example": args.ident,
         "bundle": _bundle_obj(report.result),
@@ -138,7 +138,7 @@ def cmd_example(args) -> int:
         "psi1_decay": report.psi1_report.to_obj(),
         "psi2_decay": report.psi2_report.to_obj(),
         "l2": {"psi1": report.l2_psi1, "psi2": report.l2_psi2},
-        "positivity": report.certificate.to_obj(),
+        "positivity": certificate.to_obj(),
         "record": report.record.to_obj(),
     }
     _emit(serialization.dumps(obj), args.out)

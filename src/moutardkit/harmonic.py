@@ -32,10 +32,6 @@ def harmonic_basis(n: int) -> Tuple[BivariatePoly, BivariatePoly]:
     return BivariatePoly(parts[0]), BivariatePoly(parts[1])
 
 
-def is_harmonic(p: BivariatePoly) -> bool:
-    return p.laplacian().is_zero
-
-
 class HarmonicCombo(NamedTuple):
     """The polynomial realized by an integer combination of Re/Im(z^n)."""
 

@@ -16,11 +16,12 @@ and only `global_positivity` builds one.
 Inside the cutoff radius the plane is covered by branch-and-bound with
 centered-form bounds, on integers: boxes are dyadic cells of the root
 square and their bounds integers on a common scale, so `Fraction`s are
-built only for the cells and points reported. One box tree holds the
-bounds per box of G = w - w(0,0); no bound depends on the depth limit or
-on a constant offset, so the tree decides G + k for every constant k at
-every depth limit by integer comparisons. The constant search probes
-F + c on one tree of F's and keeps only whether each probe certified.
+built only for the cells and points reported. A box tree holds the bounds
+per box of one polynomial f, independent of depth limit and offset, so it
+decides f + k for every constant k by integer comparisons; a walk returns
+only its verdict. `global_positivity` reads the cells off w's own tree.
+The constant search probes F + c on one tree of G = F - F(0,0) and keeps
+only whether each probe certified.
 `Inconclusive` is an explicit outcome, never treated as positive.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import DEFAULT_MAX_DEPTH, Inconclusive, NonPositiveLeadingForm
 from .polynomials import BivariatePoly
@@ -200,7 +201,7 @@ class _BoxTree:
 
     are integers; centre - spread is the centred-form lower bound. On
     every box the bounds of f + k are f's plus k, so `traverse` decides any
-    constant offset k from f's memoized (centre, spread).
+    constant offset k from f's memoized (centre, spread), all a walk keeps.
     """
 
     def __init__(self, f: BivariatePoly):
@@ -260,20 +261,16 @@ class _BoxTree:
                 spread += abs(row[j]) * r_pow[i] * hy_pow[j]
         return grid[0][0], spread
 
-    def traverse(
-        self, offset: Fraction, depth_limit: int
-    ) -> Union[List[Tuple[int, int, int, int]], PositivityRefutation]:
+    def traverse(self, offset: Fraction, depth_limit: int) -> Optional[PositivityRefutation]:
         """Branch-and-bound for f + offset in a fixed depth-first order.
 
-        Returns the certified cells as (column, row, depth, lower), lower
-        being the cell's lower bound over b * D * 2^(s*d) with b the
-        offset's denominator, or a refutation at the first box centre where
-        f + offset <= 0. Raises Inconclusive past the depth limit.
+        Returns None when every box is certified, or a refutation at the
+        first box centre where f + offset <= 0. Raises Inconclusive past
+        the depth limit. Only the memo records which boxes it bounded.
         """
         boxes, d = self.boxes, self.degree
         b = offset.denominator
         shift = offset.numerator * self.denominator
-        cells = []
         stack = [(0, 0, 0)]
         while stack:
             box = stack.pop()
@@ -288,9 +285,7 @@ class _BoxTree:
                 point = (Fraction(px, 1 << s), Fraction(qy, 1 << s))
                 scale = b * self.denominator << s * d
                 return PositivityRefutation(point, Fraction(center, scale))
-            spread = known[1] * b
-            if center > spread:
-                cells.append((i, j, depth, center - spread))
+            if center > known[1] * b:
                 continue
             if depth >= depth_limit:
                 raise Inconclusive(depth_limit)
@@ -300,26 +295,25 @@ class _BoxTree:
             else:
                 stack.append((2 * i + 1, j, depth + 1))
                 stack.append((2 * i, j, depth + 1))
-        return cells
+        return None
 
 
-def _certificate(
-    tree: _BoxTree, offset: Fraction, cells: List[Tuple[int, int, int, int]]
-) -> PositivityCertificate:
-    """The certificate of f + offset, f the tree's polynomial, from the
-    cells `traverse` certified at that offset, in canonical order so it is
-    independent of the processing schedule."""
+def _certificate(tree: _BoxTree) -> PositivityCertificate:
+    """The certificate of f > 0, f the tree's polynomial, in canonical
+    order. Precondition: one walk of the fresh tree at offset 0 has just
+    certified f, so the memo holds that walk's boxes: the cells are those
+    with centre > spread, every other box was split, the deepest is a cell."""
     # sort on the integer corners over the common 2^top, then build each
     # cell's Fractions once
-    max_depth_used = max(depth for _, _, depth, _ in cells)
+    max_depth_used = max(depth for _, _, depth in tree.boxes)
     top = (max_depth_used + 1) // 2
     radius, d = tree.radius, tree.degree
-    scale = offset.denominator * tree.denominator
     keyed = []
-    for i, j, depth, lower in cells:
-        s, px, qy, hy = tree.geometry(i, j, depth)
-        corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
-        keyed.append((corners, Fraction(lower, scale << s * d)))
+    for (i, j, depth), (center, spread) in tree.boxes.items():
+        if center > spread:
+            s, px, qy, hy = tree.geometry(i, j, depth)
+            corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
+            keyed.append((corners, Fraction(center - spread, tree.denominator << s * d)))
     keyed.sort(key=lambda cell: cell[0])
     certified = tuple(
         CertifiedCell(tuple(Fraction(v, 1 << top) for v in corners), lower)
@@ -335,21 +329,18 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
     leading form, and a positive constant is certified with no cells.
     Otherwise the leading form must dominate outside the cutoff radius R
     (NonPositiveLeadingForm when it cannot), and [-R, R]^2 is covered by
-    bisection with exact centered-form bounds. This runs on the tree of
-    G = w - w(0,0) at offset w(0,0), and gives the outcome of w's own
-    tree: a positive constant term is left out of the tail sum, so R is
-    G's, and every box's centre and lower bound shift by w(0,0).
+    bisection with exact centered-form bounds on a fresh tree of w, walked
+    at offset 0. A positive constant term is left out of the tail sum, so
+    R is that of w - w(0,0), the tree `min_positive_constant` walks.
     """
     w0 = w.coefficient(0, 0)
     if w0 <= 0:
         return PositivityRefutation((Fraction(0), Fraction(0)), w0)
     if w.degree == 0:
         return PositivityCertificate(w0, Fraction(0), (), 0)
-    tree = _BoxTree(w - BivariatePoly.constant(w0))
-    outcome = tree.traverse(w0, max_depth)
-    if isinstance(outcome, PositivityRefutation):
-        return outcome
-    return _certificate(tree, w0, outcome)
+    tree = _BoxTree(w)
+    refutation = tree.traverse(Fraction(0), max_depth)
+    return _certificate(tree) if refutation is None else refutation
 
 
 def min_positive_constant(
@@ -389,7 +380,7 @@ def min_positive_constant(
 
     def certifies(c: Fraction) -> bool:
         try:
-            return isinstance(tree.traverse(c + f0, max_depth), list)
+            return tree.traverse(c + f0, max_depth) is None
         except Inconclusive:
             return False
 

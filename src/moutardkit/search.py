@@ -162,7 +162,6 @@ class TrialReport(NamedTuple):
 
     record: SearchRecord
     result: DoubleMoutardResult
-    certificate: Optional[PositivityCertificate]  # W's, when `example` prints it
     u_report: DecayReport
     psi1_report: DecayReport
     psi2_report: DecayReport
@@ -170,14 +169,8 @@ class TrialReport(NamedTuple):
     l2_psi2: bool
 
 
-def _trial_report(
-    trial: int,
-    oriented: SeedPair,
-    result: DoubleMoutardResult,
-    certificate: Optional[PositivityCertificate],
-) -> TrialReport:
-    """Analyze a transformed pair whose W = F + C the caller has proved
-    positive, carrying W's box `certificate` if the caller prints one.
+def _trial_report(trial: int, oriented: SeedPair, result: DoubleMoutardResult) -> TrialReport:
+    """Analyze a transformed pair whose W = F + C the caller has proved positive.
 
     psi1 and psi2 have denominator W > 0, so their L2 flags are the decay
     half of the rule, `square_summable`.
@@ -198,7 +191,6 @@ def _trial_report(
     return TrialReport(
         record=record,
         result=result,
-        certificate=certificate,
         u_report=u_report,
         psi1_report=psi1_report,
         psi2_report=psi2_report,
@@ -225,7 +217,7 @@ def run_trial(
     except (NonPositiveLeadingForm, Inconclusive) as exc:
         return _record_failure(trial, seeds, exc)
     result = double_transform(oriented, f + BivariatePoly.constant(constant))
-    return _trial_report(trial, oriented, result, None).record
+    return _trial_report(trial, oriented, result).record
 
 
 def sweep(
@@ -261,14 +253,16 @@ def _proportional_rf(a: RationalFn, b: RationalFn) -> bool:
     return proportional(a.num * b.den, b.num * a.den)
 
 
-def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> TrialReport:
-    """Run the whole pipeline on a built-in example and assert its claims.
+def verify_example_full(
+    ident: int, max_depth: int = DEFAULT_MAX_DEPTH
+) -> Tuple[TrialReport, PositivityCertificate]:
+    """Run the whole pipeline on a built-in example and assert its claims;
+    returns the report and W's box certificate, which `example` prints.
 
     An example with a reference closed form calibrates C against it; one
     without takes C from `min_positive_constant`, whose square hint spares
-    a conjugate-type example the probe walks. Either way W's box
-    certificate comes from one `global_positivity` call, since `example`
-    prints it.
+    a conjugate-type example the probe walks. Either way the certificate
+    comes from one `global_positivity` call.
     """
     example = get_example(ident)
     oriented, f = orient_for_positivity(example.seeds)
@@ -281,7 +275,7 @@ def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Trial
     result = double_transform(oriented, f + BivariatePoly.constant(constant))
     certificate = global_positivity(result.w_poly, max_depth)
     _check(isinstance(certificate, PositivityCertificate), "global positivity certificate for W")
-    report = _trial_report(ident, oriented, result, certificate)
+    report = _trial_report(ident, oriented, result)
 
     if ref is not None:
         _check(result.u.equals(ref.u), "u matches the reference closed form")
@@ -298,4 +292,4 @@ def verify_example_full(ident: int, max_depth: int = DEFAULT_MAX_DEPTH) -> Trial
     ):
         _check(decay.bound_valid and decay.exponent == rate, f"{name} decays at rate {rate}")
     _check(report.l2_psi1 and report.l2_psi2, "kernel functions are square-summable")
-    return report
+    return report, certificate

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from moutardkit.errors import NotClosed
-from moutardkit.harmonic import conjugate, harmonic_basis, is_harmonic, random_combo
+from moutardkit.harmonic import conjugate, harmonic_basis, random_combo
 from moutardkit.polynomials import BivariatePoly
 
 X, Y = BivariatePoly.variables()
@@ -50,18 +50,11 @@ def test_basis_harmonic_and_homogeneous(n):
         assert p.degree == n
 
 
-def test_is_harmonic():
-    omega1 = BivariatePoly({(1, 0): 1, (2, 0): 2, (0, 2): -2, (1, 1): 1})
-    assert is_harmonic(omega1)
-    assert not is_harmonic(X * X)
-    assert is_harmonic(BivariatePoly.zero())
-
-
 def test_random_combo_deterministic_and_harmonic():
     a = random_combo(3, 99, 5)
     b = random_combo(3, 99, 5)
     assert a == b
-    assert is_harmonic(a.realized)
+    assert a.realized.laplacian().is_zero
     assert a.realized.degree <= 3
 
 

@@ -355,25 +355,26 @@ class TestTwoSquares:
         assert two_squares(w, X, Y) == TwoSquareProof(X, Y, Fraction(3, 2), Fraction(-5))
 
 
-def fresh_tree_positivity(w, max_depth=DEFAULT_MAX_DEPTH):
-    """global_positivity built directly: a tree of w itself, walked at
-    offset 0, with no shift by w(0,0)."""
-    if w.is_zero:
-        return PositivityRefutation((Fraction(0), Fraction(0)), Fraction(0))
-    if w.degree == 0:
-        c = w.coefficient(0, 0)
-        if c <= 0:
-            return PositivityRefutation((Fraction(0), Fraction(0)), c)
-        return PositivityCertificate(c, Fraction(0), (), 0)
-    tree = _BoxTree(w)
-    outcome = tree.traverse(Fraction(0), max_depth)
-    if isinstance(outcome, PositivityRefutation):
-        return outcome
-    max_depth_used = max(depth for _, _, depth, _ in outcome)
+def offset_tree_positivity(w, max_depth=DEFAULT_MAX_DEPTH):
+    """global_positivity of a nonconstant w on the tree that
+    `min_positive_constant` walks: the tree of w - w(0,0), walked at offset
+    w(0,0), with the cells read off its memo at that offset."""
+    w0 = w.coefficient(0, 0)
+    tree = _BoxTree(w - BivariatePoly.constant(w0))
+    refutation = tree.traverse(w0, max_depth)
+    if refutation is not None:
+        return refutation
+    b, shift, d = w0.denominator, w0.numerator * tree.denominator, tree.degree
+    cells = []
+    for (i, j, depth), (center, spread) in tree.boxes.items():
+        center = center * b + (shift << (depth + 1) // 2 * d)
+        if center > spread * b:
+            cells.append((i, j, depth, center - spread * b))
+    max_depth_used = max(depth for _, _, depth, _ in cells)
     top = (max_depth_used + 1) // 2
-    radius, scale, d = tree.radius, tree.denominator, tree.degree
+    radius, scale = tree.radius, b * tree.denominator
     keyed = []
-    for i, j, depth, lower in outcome:
+    for i, j, depth, lower in cells:
         s, px, qy, hy = tree.geometry(i, j, depth)
         corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
         keyed.append((corners, Fraction(lower, scale << s * d)))
@@ -399,8 +400,9 @@ def off_centre_disk():
 
 
 class TestOffsetTree:
-    """global_positivity(w) walks the tree of w - w(0,0) at offset w(0,0);
-    every outcome must be the one of a tree of w itself."""
+    """global_positivity(w) walks w's own tree at offset 0; the tree of
+    w - w(0,0) that the constant search walks, at offset w(0,0), must
+    decide w exactly as w's own tree does."""
 
     @pytest.mark.parametrize(
         "w",
@@ -416,11 +418,11 @@ class TestOffsetTree:
         ],
     )
     def test_matches_a_fresh_tree(self, w):
-        assert global_positivity(w) == fresh_tree_positivity(w)
+        assert global_positivity(w) == offset_tree_positivity(w)
 
     def test_inconclusive_at_a_small_depth_limit(self):
         for depth in (0, 3, 7):
-            expected = outcome_or_error(fresh_tree_positivity, W_REF, depth)
+            expected = outcome_or_error(offset_tree_positivity, W_REF, depth)
             assert expected[0] == "Inconclusive"
             assert outcome_or_error(global_positivity, W_REF, depth) == expected
 

@@ -39,7 +39,7 @@ def test_dir_lists_the_exports():
 def values():
     """One instance of every value type the package defines."""
     example = gallery.get_example(1)
-    report = search.verify_example_full(1)
+    report, certificate = search.verify_example_full(1)
     return [
         example,
         example.reference,
@@ -47,8 +47,8 @@ def values():
         report,
         report.record,
         report.result,
-        report.certificate,
-        report.certificate.cells[0],
+        certificate,
+        certificate.cells[0],
         report.u_report,
         positivity.global_positivity(X * X + Y * Y - BivariatePoly.constant(1)),
         positivity.two_squares(X * X + Y * Y, X, Y),

@@ -260,7 +260,7 @@ def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, s
     w = f + BivariatePoly.constant(constant)
     assert isinstance(global_positivity(w), PositivityCertificate)
     result = double_transform(oriented, w)
-    boxed = search._trial_report(seed, oriented, result, None)
+    boxed = search._trial_report(seed, oriented, result)
 
     def no_box(tree, *args):
         pytest.fail("bounded a box")
@@ -312,8 +312,9 @@ def test_example_certifies_w_once(monkeypatch, ident, calls):
 
     for module in (search, decay, numeric):
         monkeypatch.setattr(module, "global_positivity", counting)
-    report = search.verify_example_full(ident)
+    report, certificate = search.verify_example_full(ident)
     assert len(seen) == calls
     assert len({tuple(w.items()) for w in seen}) == calls
     assert seen[-1] == report.result.w_poly
+    assert certificate == global_positivity(seen[-1])
     assert report.l2_psi1 and report.l2_psi2
