@@ -14,12 +14,15 @@ constant C that makes f + C certifiable, by that identity when a hint
 and only `global_positivity` builds one.
 
 Inside the cutoff radius the plane is covered by branch-and-bound with
-centered-form bounds, on integers: boxes are dyadic cells of the root
-square and their bounds integers on a common scale, so `Fraction`s are
-built only for the cells and points reported. A box tree holds the bounds
-per box of one polynomial f, independent of depth limit and offset, so it
-decides f + k for every constant k by integer comparisons; a walk returns
-only its verdict. `global_positivity` reads the cells off w's own tree.
+Bernstein bounds, on integers: boxes are dyadic cells of the root square
+and their bounds integers on a common scale, so `Fraction`s are built
+only for the cells and points reported. The least Bernstein coefficient
+of a box converges to the box's minimum quadratically under subdivision,
+where a centred form converges linearly (Garloff 1986; Zettler and
+Garloff, IEEE TAC 43, 1998). A box tree holds the bounds per box of one
+polynomial f, independent of depth limit and offset, so it decides f + k
+for every constant k by integer comparisons; a walk returns only its
+verdict. `global_positivity` reads the cells off w's own tree.
 The constant search probes F + c on one tree of G = F - F(0,0) and keeps
 only whether each probe certified.
 `Inconclusive` is an explicit outcome, never treated as positive.
@@ -29,12 +32,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import DEFAULT_MAX_DEPTH, Inconclusive, NonPositiveLeadingForm
 from .polynomials import BivariatePoly
 from .serialization import fraction_to_obj, obj_to_fraction
-from .sturm import is_positive_everywhere
 
 DOUBLING_CAP = Fraction(2) ** 64
 REFINE_FLOOR = Fraction(1, 64)
@@ -154,6 +157,8 @@ def _circle_bound(lead: BivariatePoly, d: int) -> Optional[Fraction]:
     c = min(a0, q.coefficient(0, 0))
     if q == power.scale(c):
         return c  # the exact minimum
+    from .sturm import is_positive_everywhere  # only a non-radial form needs Sturm chains
+
     if not is_positive_everywhere(q):
         return None
     while not is_positive_everywhere(q - power.scale(c)):
@@ -195,20 +200,34 @@ class _BoxTree:
     one common denominator D, and a box's centre and half-widths (R, hy)
     are integers over 2^s. Its Taylor coefficients b_ij at the centre, scaled
     by 2^(s*(d-i-j)), come from integer Horner shifts, so on the common
-    scale D * 2^(s*d) both the centre value and the spread
-
-        sum |b_ij| * R^i * hy^j     over (i, j) != (0, 0)
-
-    are integers; centre - spread is the centred-form lower bound. On
-    every box the bounds of f + k are f's plus k, so `traverse` decides any
+    scale D * 2^(s*d) the centre value and a_ij = b_ij * R^i * hy^j, the
+    coefficients of f on the box mapped to [-1, 1]^2, are integers. With
+    M = L * (the degree-d Bernstein coefficients of u^i on [-1, 1]), L the
+    lcm of the C(d, k), M^T * A * M is L^2 times f's tensor Bernstein grid
+    on the box, and the lower bound is its minimum floor-divided by L^2:
+    the spread is centre minus that. On every box the Bernstein
+    coefficients of f + k are f's plus k, so `traverse` decides any
     constant offset k from f's memoized (centre, spread), all a walk keeps.
     """
 
     def __init__(self, f: BivariatePoly):
         self.bound, lower_sum, _ = leading_dominance(f)
-        self.radius = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
+        self.radius = r = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
         self.denominator = f._den  # f = f._ints / denominator
         self.degree = d = int(f.degree)
+        # row i of M, from u^i = (t - (1-t))^i * ((1-t) + t)^(d-i), u = 2t - 1
+        lcm = math.lcm(*(math.comb(d, k) for k in range(d + 1)))
+        self.lcm_squared = lcm * lcm
+        m = [
+            [
+                lcm // math.comb(d, k)
+                * sum((-1) ** (i - n) * math.comb(i, n) * math.comb(d - i, k - n) for n in range(min(i, k) + 1))
+                for k in range(d + 1)
+            ]
+            for i in range(d + 1)
+        ]
+        # the columns of M with row i scaled by h^i, for half-widths h = R, 2R
+        self.columns = [list(zip(*([h**i * v for v in row] for i, row in enumerate(m)))) for h in (r, 2 * r)]
         # row i holds the coefficients of x^i y^j for j <= d - i
         self.grid = [[0] * (d - i + 1) for i in range(d + 1)]
         for (i, j), c in f._ints.items():
@@ -228,10 +247,10 @@ class _BoxTree:
 
     def bounds(self, i: int, j: int, depth: int) -> Tuple[int, int]:
         """(center, spread) of f on the box, both scaled by D * 2^(s*d):
-        the center value and the lower bound are center and
+        the center value and the Bernstein lower bound are center and
         center - spread over D * 2^(s*d)."""
-        s, px, qy, hy = self.geometry(i, j, depth)
-        d, r = self.degree, self.radius
+        s, px, qy, _ = self.geometry(i, j, depth)
+        d = self.degree
         scaled = self.scaled.get(s)
         if scaled is None:
             # pre-scale entry (i, j) by 2^(s*(d-i-j)) so integer shifts by
@@ -250,16 +269,10 @@ class _BoxTree:
             for k in range(len(row) - 1):
                 for j in range(len(row) - 2, k - 1, -1):
                     row[j] += qy * row[j + 1]
-        r_pow = [1]
-        hy_pow = [1]
-        for _ in range(d):
-            r_pow.append(r_pow[-1] * r)
-            hy_pow.append(hy_pow[-1] * hy)
-        spread = 0
-        for i, row in enumerate(grid):
-            for j in range(0 if i else 1, len(row)):
-                spread += abs(row[j]) * r_pow[i] * hy_pow[j]
-        return grid[0][0], spread
+        # (A * M)^T, then the least entry of M^T * A * M
+        product = list(zip(*([sum(map(mul, row, col)) for col in self.columns[depth % 2]] for row in grid)))
+        low = min(sum(map(mul, col, p)) for col in self.columns[0] for p in product)
+        return grid[0][0], grid[0][0] - low // self.lcm_squared
 
     def traverse(self, offset: Fraction, depth_limit: int) -> Optional[PositivityRefutation]:
         """Branch-and-bound for f + offset in a fixed depth-first order.
@@ -326,16 +339,26 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
     """Certify w > 0 on the whole plane, or produce a refuting point.
 
     The origin comes first: w(0,0) <= 0 is refuted there, whatever w's
-    leading form, and a positive constant is certified with no cells.
-    Otherwise the leading form must dominate outside the cutoff radius R
-    (NonPositiveLeadingForm when it cannot), and [-R, R]^2 is covered by
-    bisection with exact centered-form bounds on a fresh tree of w, walked
-    at offset 0. A positive constant term is left out of the tail sum, so
-    R is that of w - w(0,0), the tree `min_positive_constant` walks.
+    leading form, and a positive constant is certified with no cells. An
+    odd leading form is nonzero at one of (1, t), t = 0..D, and negative
+    at that point or its negative v; w is refuted at the first 2^k * v
+    where w <= 0. Otherwise the leading form must dominate outside the
+    cutoff radius R (NonPositiveLeadingForm when it cannot), and [-R, R]^2
+    is covered by bisection with exact Bernstein bounds on a fresh tree of
+    w, walked at offset 0. A positive constant term is left out of the
+    tail sum, so R is that of w - w(0,0), the tree `min_positive_constant`
+    walks.
     """
     w0 = w.coefficient(0, 0)
     if w0 <= 0:
         return PositivityRefutation((Fraction(0), Fraction(0)), w0)
+    if w.degree % 2:
+        lead = w.leading_form()
+        t = next(t for t in range(int(w.degree) + 1) if lead.evaluate(1, t))
+        point = (Fraction(1), Fraction(t)) if lead.evaluate(1, t) < 0 else (Fraction(-1), Fraction(-t))
+        while w.evaluate(*point) > 0:
+            point = (2 * point[0], 2 * point[1])
+        return PositivityRefutation(point, w.evaluate(*point))
     if w.degree == 0:
         return PositivityCertificate(w0, Fraction(0), (), 0)
     tree = _BoxTree(w)

@@ -37,7 +37,6 @@ from .construct import (
 )
 from .decay import DecayReport, decay_exponent, square_summable
 from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
-from .gallery import get_example
 from .harmonic import conjugate, random_combo
 from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
@@ -264,6 +263,8 @@ def verify_example_full(
     a conjugate-type example the probe walks. Either way the certificate
     comes from one `global_positivity` call.
     """
+    from .gallery import get_example  # only the examples read the gallery
+
     example = get_example(ident)
     oriented, f = orient_for_positivity(example.seeds)
     ref = example.reference

@@ -35,12 +35,13 @@ PAIR_U0_X2_TRANSFORM_SHA256 = "14ff9f1f50ac23e4accc60d0af77a9e26cd02f464415ca34c
 # SHA-256 of the stdout of `moutardkit ARGV...`, recorded with the
 # Fraction-based univariate polynomial type and Sturm chain
 GOLDEN_STDOUT_SHA256 = [
-    (("example", "1"), "a864a8b4e66efd79fd65a170e5d834935f9e30dd3352cceb6cb7d20a24558bce"),
+    # the example pins recorded with Bernstein box bounds
+    (("example", "1"), "0222aaafa1511285111f4df05b111ac2834fcdfca82acf9a5193fd0d41b226ba"),
     (
         ("search", "--degree", "2", "--trials", "6", "--seed", "0"),
         "f77dbfca84a755374f594bbeaf6e3cc715679c3718204dfbde575ab3db5f3ea1",
     ),
-    (("example", "2"), "bab6bee54566e5d3cff55fac6ee7e908d017e55294f478cb96e81f73fd814a73"),
+    (("example", "2"), "6735da1d3135a0f0aaeaa394e951c11a333d7b626f9034c3630530481a68a648"),
     # recorded with one full branch-and-bound per bisection probe
     (
         ("search", "--degree", "3", "--trials", "2", "--seed", "0"),
@@ -123,15 +124,15 @@ def test_example_exits_false_when_an_invariant_breaks(monkeypatch, capsys):
 
 
 def test_search_proves_conjugate_type_trials_at_any_depth_limit(capsys):
-    # at depth 2 the box tree certifies these six trials only at C = 2^32 to
-    # 2^39; trials 0-4 are conjugate-type and their two-square identity
-    # proves C = 1/64 at any depth, while the generic trial 5 keeps 2^36
+    # at depth 2 the box tree certifies these six trials only at C = 2^22 to
+    # 2^30; trials 0-4 are conjugate-type and their two-square identity
+    # proves C = 1/64 at any depth, while the generic trial 5 keeps 2^27
     argv = ("search", "--degree", "3", "--trials", "6", "--seed", "0", "--max-depth", "2")
     assert run(*argv) == cli.EXIT_OK
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     constants = {r["trial"]: serialization.obj_to_fraction(r["C"]) for r in records}
     expected = {trial: Fraction(1, 64) for trial in range(5)}
-    expected[5] = Fraction(2**36)
+    expected[5] = Fraction(2**27)
     assert constants == expected
     assert all(r["positivity"] == "certified" and r["valid"] for r in records)
 
@@ -161,6 +162,17 @@ def test_exit_false_on_refuted_positivity(tmp_path, capsys):
     poly = write_poly(tmp_path / "p.json", {(0, 0): (-1, 1), (2, 0): (1, 1), (0, 2): (1, 1)})
     assert run("positivity", "--poly", poly) == cli.EXIT_FALSE
     assert json.loads(capsys.readouterr().out)["certified"] is False
+
+
+def test_exit_false_on_an_odd_degree_polynomial(capsys):
+    # x^3 + y^2 + 1 is positive at the origin and takes 0 at (-1, 0)
+    path = DATA / "positivity" / "odd_degree.json"
+    assert run("positivity", "--poly", str(path)) == cli.EXIT_FALSE
+    refutation = json.loads(capsys.readouterr().out)["refutation"]
+    w = serialization.obj_to_poly(json.loads(path.read_text(encoding="utf-8")))
+    point = [serialization.obj_to_fraction(v) for v in refutation["point"]]
+    value = serialization.obj_to_fraction(refutation["value"])
+    assert w.evaluate(*point) == value <= 0
 
 
 @pytest.mark.parametrize(
@@ -283,12 +295,12 @@ REFERENCE_STDOUT_SHA256 = [
     ),
     (
         ("positivity", "--poly", "w"),
-        "58c94ba19a0cc81d0155542a8c08963af4af20ee5dc38dd5aa0650522345aa40",
+        "d47dfa0a81e6da6a9c69483e12fe65e8a581abc9a53fef95d642148dc2e4fd14",
     ),
     # x^4 + 2y^4 + 1 - xy: a certificate whose circle bound comes from Sturm chains
     (
         ("positivity", "--poly", str(DATA / "positivity" / "nonradial_certified.json")),
-        "e5c59bd1a00eee49a06764bc69446cf77bb4b5988a8fbd8f2932c367a296a017",
+        "f6b7dd1c8b23295ac06e42ab3b7480f750593549e70bc935dc6341c29c600433",
     ),
     # recorded with the Fraction evaluation loop, at the default resolution 101
     (("sample", "--fn", "psi1"), "cb4b658dc2378456c53bb7eda3b98f2303230516155d3c41fe8f2bc65ee30a99"),

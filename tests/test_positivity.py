@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,9 @@ def corpus_poly(name):
 # x^4 + 2y^4 + 1 - xy: its leading form is not radial, so the circle test
 # runs Sturm chains
 W_NONRADIAL = corpus_poly("nonradial_certified")
+# positive except at points with no rational coordinates, so no box that
+# holds such a point is certified: Inconclusive at every depth limit
+TOUCHING_ZERO = [corpus_poly(name) for name in ("touching_zero_nonradial", "zero_on_a_circle")]
 
 
 def circle_bound(p):
@@ -243,10 +247,32 @@ class TestGlobalPositivity:
         assert global_positivity(w) == expected
 
     def test_depth_limit_is_explicit(self):
-        for depth in (0, 7):
-            with pytest.raises(Inconclusive):
-                global_positivity(W_REF, max_depth=depth)
-        assert global_positivity(W_REF, max_depth=8).max_depth_used == 8
+        for w in TOUCHING_ZERO:
+            for depth in (0, 7, 12):
+                with pytest.raises(Inconclusive):
+                    global_positivity(w, max_depth=depth)
+        # W_REF first certifies at depth 3
+        with pytest.raises(Inconclusive):
+            global_positivity(W_REF, max_depth=2)
+        assert global_positivity(W_REF, max_depth=3).max_depth_used == 3
+
+    @pytest.mark.parametrize(
+        "w,point,value",
+        [
+            (X**3 + Y * Y + BivariatePoly.constant(1), (-1, 0), 0),
+            # -x^3 is negative at (1, 0): the walk goes along (1, 0)
+            (X * Y * Y - X**3 + BivariatePoly.constant(5), (2, 0), -3),
+            # y^3 is zero at (1, 0) and positive at (1, 1): along (-1, -1)
+            (Y**3 + X * X + BivariatePoly.constant(1), (-2, -2), -3),
+        ],
+        ids=["x^3+y^2+1", "xy^2-x^3+5", "y^3+x^2+1"],
+    )
+    def test_odd_degree_refuted_along_a_direction(self, w, point, value, bounds_calls):
+        expected = PositivityRefutation((Fraction(point[0]), Fraction(point[1])), Fraction(value))
+        assert global_positivity(w) == expected
+        assert bounds_calls[0] == 0
+        with pytest.raises(NonPositiveLeadingForm, match="odd-degree"):
+            positivity.min_positive_constant(w)
 
     def test_deterministic(self):
         a = global_positivity(W_REF)
@@ -267,12 +293,13 @@ class TestGlobalPositivity:
 # the hard-input corpus at depth limit 40: outcome and _BoxTree.bounds calls
 CORPUS_OUTCOMES = [
     # min 0 at (+-sqrt 2, 0), positive at every rational point; top x^4 + y^4
-    ("touching_zero_nonradial", "Inconclusive", 362),
+    ("touching_zero_nonradial", "Inconclusive", 70),
     # zero on x^2 + y^2 = 3, which has no rational point; radial top
-    ("zero_on_a_circle", "Inconclusive", 410),
-    # 120 cells, max depth 8
-    ("nonradial_certified", (120, 8), 239),
-    ("odd_degree", "NonPositiveLeadingForm", 0),
+    ("zero_on_a_circle", "Inconclusive", 70),
+    # 10 cells, max depth 5
+    ("nonradial_certified", (10, 5), 19),
+    # negative along the negative x-axis: refuted at (-1, 0) with no box
+    ("odd_degree", "refuted", 0),
 ]
 
 
@@ -285,9 +312,64 @@ def test_corpus_outcomes(name, outcome, calls, bounds_calls):
     except (Inconclusive, NonPositiveLeadingForm) as exc:
         found = type(exc).__name__
     else:
-        found = (len(cert.cells), cert.max_depth_used)
+        found = "refuted" if isinstance(cert, PositivityRefutation) else (len(cert.cells), cert.max_depth_used)
     assert found == outcome
     assert bounds_calls[0] == calls
+
+
+def bernstein_minimum(w, box):
+    """The least tensor Bernstein coefficient of degree (D, D), D = deg w,
+    of w on the box, by the textbook formula in Fractions; it shares no
+    code with _BoxTree. With w(x_lo + (x_hi - x_lo)*s, y_lo + (y_hi - y_lo)*t)
+    = sum a_ij s^i t^j on [0, 1]^2, the coefficients are
+    b_kl = sum over i <= k, j <= l of C(k,i)C(l,j)/(C(D,i)C(D,j)) * a_ij."""
+    x_lo, x_hi, y_lo, y_hi = box
+    d = int(w.degree)
+    a = {}
+    for (m, n), c in w.items():
+        for i in range(m + 1):
+            for j in range(n + 1):
+                term = c * comb(m, i) * x_lo ** (m - i) * (x_hi - x_lo) ** i
+                term *= comb(n, j) * y_lo ** (n - j) * (y_hi - y_lo) ** j
+                a[i, j] = a.get((i, j), 0) + term
+    return min(
+        sum(
+            Fraction(comb(k, i) * comb(l, j), comb(d, i) * comb(d, j)) * a_ij
+            for (i, j), a_ij in a.items()
+            if i <= k and j <= l
+        )
+        for k in range(d + 1)
+        for l in range(d + 1)
+    )
+
+
+def reproved(w, certificate):
+    """Every cell's claimed lower bound is at most w's Bernstein minimum there."""
+    return all(cell.lower_bound <= bernstein_minimum(w, cell.box) for cell in certificate.cells)
+
+
+def example_certificate(ident):
+    report, certificate = search.verify_example_full(ident)
+    return report.result.w_poly, certificate
+
+
+CERTIFIED = {
+    "example-1": lambda: example_certificate(1),
+    "example-2": lambda: example_certificate(2),
+    "W_REF": lambda: (W_REF, global_positivity(W_REF)),
+    "W_SEARCH": lambda: (W_SEARCH, global_positivity(W_SEARCH)),
+    "W_NONRADIAL": lambda: (W_NONRADIAL, global_positivity(W_NONRADIAL)),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_every_cell_is_reproved_by_the_textbook_bernstein_formula(name):
+    w, certificate = CERTIFIED[name]()
+    assert certificate.cells and reproved(w, certificate)
+    # a bound raised just above one cell's exact minimum is rejected
+    cell = certificate.cells[-1]
+    raised = cell._replace(lower_bound=bernstein_minimum(w, cell.box) + Fraction(1, 2**64))
+    assert not reproved(w, certificate._replace(cells=certificate.cells[:-1] + (raised,)))
 
 
 def conjugate_hint(omega):
@@ -421,10 +503,12 @@ class TestOffsetTree:
         assert global_positivity(w) == offset_tree_positivity(w)
 
     def test_inconclusive_at_a_small_depth_limit(self):
-        for depth in (0, 3, 7):
-            expected = outcome_or_error(offset_tree_positivity, W_REF, depth)
+        # W_REF one level below its first certifying depth, 3
+        cases = [(w, depth) for w in TOUCHING_ZERO for depth in (0, 3, 7)] + [(W_REF, 2)]
+        for w, depth in cases:
+            expected = outcome_or_error(offset_tree_positivity, w, depth)
             assert expected[0] == "Inconclusive"
-            assert outcome_or_error(global_positivity, W_REF, depth) == expected
+            assert outcome_or_error(global_positivity, w, depth) == expected
 
 
 @pytest.fixture
@@ -473,7 +557,7 @@ def test_min_positive_constant_returns_the_proof_of_w_on_a_conjugate_type_pair(
 
 def test_example_2_bounds_each_box_once(bounds_calls):
     search.verify_example_full(2)
-    assert bounds_calls[0] == 1577
+    assert bounds_calls[0] == 71
 
 
 def test_min_positive_constant_proves_a_verified_hint_with_no_box(bounds_calls):

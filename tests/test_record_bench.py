@@ -1,0 +1,57 @@
+"""The benchmark recorder's pure helpers: run order, quartiles, pair wins."""
+
+import argparse
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_bench.py"
+spec = importlib.util.spec_from_file_location("record_bench", TOOL)
+record_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record_bench)
+
+
+def test_pair_order_alternates_the_side_that_runs_first():
+    order = record_bench.pair_order([7, 8, 9])
+    assert order == [
+        (7, "parent"), (7, "change"),
+        (8, "change"), (8, "parent"),
+        (9, "parent"), (9, "change"),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11])
+def test_pair_order_runs_each_side_once_per_key_back_to_back(n):
+    order = record_bench.pair_order(range(n))
+    assert [key for key, _ in order] == [k for k in range(n) for _ in range(2)]
+    assert all({order[2 * k][1], order[2 * k + 1][1]} == {"parent", "change"} for k in range(n))
+    firsts = [order[2 * k][1] for k in range(n)]
+    assert firsts.count("parent") - firsts.count("change") in (0, 1)
+
+
+def test_summary_quartiles_are_inclusive():
+    assert record_bench.summary([5, 1, 4, 2, 3]) == {"q1": 2, "median": 3, "q3": 4}
+    assert record_bench.summary([1, 2, 3, 4]) == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+
+
+def test_compare_counts_wins_by_direction_and_ties():
+    parent, change = [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0]
+    assert record_bench.compare(parent, change, "higher") == (2, 1)
+    assert record_bench.compare(parent, change, "lower") == (1, 1)
+
+
+def test_parse_seeds():
+    assert record_bench.parse_seeds("3-6") == [3, 4, 5, 6]
+    assert record_bench.parse_seeds("5") == [5]
+    with pytest.raises(argparse.ArgumentTypeError):
+        record_bench.parse_seeds("6-3")
+
+
+def test_recorder_is_stdlib_only():
+    tree = ast.parse(TOOL.read_text(encoding="utf-8"))
+    modules = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert modules - {"__future__"} <= set(sys.stdlib_module_names)

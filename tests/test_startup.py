@@ -4,7 +4,8 @@ The in-process CLI tests import every module before they run a
 subcommand, so a `cmd_*` whose own import is wrong or missing would still
 pass them. Here every subcommand runs as `python -m moutardkit` in a new
 process and must print the stdout `tests/test_cli.py` pins; the footprint
-tests check that the package and `transform` load only what they run.
+tests check that the package, `transform` and `search` load only what
+they run.
 """
 
 import argparse
@@ -81,15 +82,28 @@ def test_package_import_loads_no_submodule():
     assert added & {"dataclasses", "inspect"} == set()
 
 
-def test_transform_loads_only_the_construction():
+def loaded_modules(argv):
+    """The modules loaded after `cli.main(argv)` in a fresh interpreter."""
     proc = python(
         "-c",
         "import sys; from moutardkit.cli import main; status = main(sys.argv[1:]); "
         "print(*sorted(sys.modules), file=sys.stderr); sys.exit(status)",
-        *TRANSFORM_ARGV,
+        *argv,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.split())
+    return set(proc.stderr.split())
+
+
+def test_search_loads_neither_sturm_nor_the_gallery():
+    # every leading form a sweep circle-tests is radial, and no sweep reads
+    # an example
+    loaded = loaded_modules(("search", "--degree", "2", "--trials", "6", "--seed", "0"))
+    assert {"moutardkit.search", "moutardkit.positivity"} <= loaded
+    assert {"moutardkit.sturm", "moutardkit.gallery"} & loaded == set()
+
+
+def test_transform_loads_only_the_construction():
+    loaded = loaded_modules(TRANSFORM_ARGV)
     assert {"moutardkit.construct", "moutardkit.moutard"} <= loaded
     assert {f"moutardkit.{name}" for name in NOT_FOR_TRANSFORM} & loaded == set()
     assert "dataclasses" not in loaded
