@@ -50,8 +50,9 @@ def corpus_poly(name):
 # x^4 + 2y^4 + 1 - xy: its leading form is not radial, so the circle test
 # runs Sturm chains
 W_NONRADIAL = corpus_poly("nonradial_certified")
-# positive except at points with no rational coordinates, so no box that
-# holds such a point is certified: Inconclusive at every depth limit
+# zero only at points with no rational coordinates, so no box centre
+# refutes and no box holding such a point is certified: Inconclusive at
+# every depth limit
 TOUCHING_ZERO = [corpus_poly(name) for name in ("touching_zero_nonradial", "zero_on_a_circle")]
 
 
