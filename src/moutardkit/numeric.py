@@ -5,7 +5,9 @@ finite-difference stencil is exact: u and psi are evaluated on integers at
 each stencil's common denominator and combined into one exact rational per
 grid point (so the reported residual is pure truncation error, decreasing
 at O(h^2) wherever the symbolic residual vanishes); only the final
-magnitudes are floats.
+magnitudes are floats. The L2 sum is floats throughout: psi's numerator
+and denominator become polynomials in r once per angle, evaluated by
+Horner along each ray.
 """
 
 from __future__ import annotations
@@ -98,15 +100,20 @@ class L2Estimate(NamedTuple):
     radius: float
 
     def to_obj(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "tail_bound": self.tail_bound,
-            "radius": self.radius,
-        }
+        return self._asdict()
 
 
-def _float_terms(p: BivariatePoly) -> List[Tuple[int, int, float]]:
-    return [(i, j, float(c)) for (i, j), c in p.items()]
+def _ray_coefficients(p: BivariatePoly, directions: Sequence[Tuple[float, float]]) -> List[List[float]]:
+    """Per direction (cos t, sin t), the a_k of p(r cos t, r sin t) = sum a_k r^k, highest k first."""
+    terms = [(i, j, float(c)) for (i, j), c in p.items()]
+    degree = max((i + j for i, j, _ in terms), default=0)
+    rays = []
+    for cos_t, sin_t in directions:
+        a = [0.0] * (degree + 1)
+        for i, j, c in terms:
+            a[degree - i - j] += c * cos_t**i * sin_t**j
+        rays.append(a)
+    return rays
 
 
 def numeric_l2_norm(
@@ -118,18 +125,17 @@ def numeric_l2_norm(
     """Estimate the squared L2 norm of psi over the plane.
 
     The disk of the working radius is integrated by the polar midpoint
-    rule; outside it, |psi| <= K r^(-k) from the decay analysis gives the
-    tail bound 2*pi*K^2*R^(2-2k)/(2k-2). The working radius is the larger
-    of `outer_radius` and the radius where the denominator's leading form
+    rule in floats, psi evaluated by Horner in r along each ray; outside
+    it, |psi| <= K r^(-k) from the decay analysis gives the tail bound
+    2*pi*K^2*R^(2-2k)/(2k-2). The working radius is the larger of
+    `outer_radius` and the radius where the denominator's leading form
     dominates, so the tail constant is actually valid.
     """
     if radial_cells < 1 or angular_cells < 1:
         raise ValueError("need at least 1 radial and 1 angular cell")
     outcome = global_positivity(psi.den)
     if not isinstance(outcome, PositivityCertificate):
-        raise PoleTooClose(
-            f"denominator is not positive (counterexample at {outcome.point})"
-        )
+        raise PoleTooClose(f"denominator is not positive (counterexample at {outcome.point})")
     report = decay_exponent(psi)
     if not square_summable(report):
         raise ValueError("tail bound needs a valid decay exponent >= 2")
@@ -138,27 +144,21 @@ def numeric_l2_norm(
     dominance_radius = max(Fraction(1), 2 * lower_sum / m)
     radius = max(as_fraction(outer_radius), dominance_radius)
     tail_constant = 2 * psi.num.coefficient_abs_sum() / m  # |psi| <= K r^-k, r >= radius
-    tail = (
-        2 * math.pi * float(tail_constant) ** 2 * float(radius) ** (2 - 2 * k) / (2 * k - 2)
-    )
+    tail = 2 * math.pi * float(tail_constant) ** 2 * float(radius) ** (2 - 2 * k) / (2 * k - 2)
 
-    num_terms = _float_terms(psi.num)
-    den_terms = _float_terms(psi.den)
     r_max = float(radius)
     dr = r_max / radial_cells
     dtheta = 2 * math.pi / angular_cells
+    radii = [(ir + 0.5) * dr for ir in range(radial_cells)]
+    directions = [(math.cos(t), math.sin(t)) for t in ((it + 0.5) * dtheta for it in range(angular_cells))]
     total = 0.0
-    for ir in range(radial_cells):
-        r = (ir + 0.5) * dr
-        for it in range(angular_cells):
-            theta = (it + 0.5) * dtheta
-            px, py = r * math.cos(theta), r * math.sin(theta)
-            num = 0.0
-            for i, j, c in num_terms:
-                num += c * px**i * py**j
-            den = 0.0
-            for i, j, c in den_terms:
-                den += c * px**i * py**j
+    for num_a, den_a in zip(_ray_coefficients(psi.num, directions), _ray_coefficients(psi.den, directions)):
+        for r in radii:
+            num = den = 0.0
+            for a in num_a:
+                num = num * r + a
+            for a in den_a:
+                den = den * r + a
             value = num / den
             total += value * value * r
     return L2Estimate(estimate=total * dr * dtheta, tail_bound=tail, radius=r_max)

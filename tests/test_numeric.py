@@ -84,6 +84,44 @@ class TestL2Norm:
         with pytest.raises(PoleTooClose):
             numeric_l2_norm(RationalFn(ONE, X * X + Y * Y), 10)
 
+    def test_zero_numerator_gives_zero(self):
+        result = numeric_l2_norm(RationalFn(BivariatePoly(), ONE + X * X + Y * Y), 10, 16, 16)
+        assert result.estimate == 0.0
+
+    def test_non_radial_closed_form(self):
+        # integral of x^2 (1+r^2)^-4 over the plane is pi/12; a_k depends on the angle
+        den = ONE + X * X + Y * Y
+        result = numeric_l2_norm(RationalFn(X, den * den), 40, 256, 256)
+        assert abs(result.estimate - math.pi / 12) / (math.pi / 12) < 1e-3
+
+    @pytest.mark.parametrize("name", ["psi1", "psi2"])
+    def test_matches_term_by_term_midpoint_sum(self, name):
+        psi = getattr(REF, name)
+        result = numeric_l2_norm(psi, 12, 64, 64)
+        dr, dtheta = result.radius / 64, 2 * math.pi / 64
+        total = 0.0
+        for ir in range(64):
+            r = (ir + 0.5) * dr
+            for it in range(64):
+                px, py = r * math.cos((it + 0.5) * dtheta), r * math.sin((it + 0.5) * dtheta)
+                num = sum(float(c) * px**i * py**j for (i, j), c in psi.num.items())
+                den = sum(float(c) * px**i * py**j for (i, j), c in psi.den.items())
+                total += (num / den) ** 2 * r
+        expected = total * dr * dtheta
+        assert abs(result.estimate - expected) <= 1e-12 * expected
+
+    def test_cosine_once_per_angle(self, monkeypatch):
+        calls = []
+        cos = math.cos
+
+        def counted(t):
+            calls.append(t)
+            return cos(t)
+
+        monkeypatch.setattr(math, "cos", counted)
+        numeric_l2_norm(REF.psi1, 12, 96, 64)
+        assert len(calls) == 64
+
     @pytest.mark.parametrize("cells", [(0, 4), (4, 0), (-5, -5)])
     def test_cell_counts_below_one_rejected(self, cells):
         with pytest.raises(ValueError, match="at least 1 radial and 1 angular cell"):

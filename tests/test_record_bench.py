@@ -3,12 +3,16 @@
 import argparse
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "record_bench.py"
 spec = importlib.util.spec_from_file_location("record_bench", TOOL)
 record_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(record_bench)
@@ -55,3 +59,17 @@ def test_recorder_is_stdlib_only():
     modules = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert modules - {"__future__"} <= set(sys.stdlib_module_names)
+
+
+def test_in_process_child_repeats_the_l2_oracle():
+    entry = ("numeric_l2_norm", "get_example(1).reference.psi1, 12, 128, 128")
+    assert entry in record_bench.IN_PROCESS
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", record_bench.IN_PROCESS_CHILD, json.dumps([entry]), "2"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)["numeric_l2_norm(get_example(1).reference.psi1, 12, 128, 128)"]
+    assert len(result["times"]) == 2
+    assert len(result["counts"]) == 1 and result["counts"][0] > 0
+    assert len(result["digests"]) == 1

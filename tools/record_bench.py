@@ -3,14 +3,15 @@
     python3 tools/record_bench.py PARENT [--seeds A-B] --out BENCH_<n>.json
 
 Run from the root of a git checkout; stdlib only. PARENT and HEAD are
-checked out as two detached `git worktree`s in a temporary directory, so
-both sides run their committed files with the same benchmark settings.
+exported with `git archive` into a temporary directory, so both sides
+run their committed files with the same benchmark settings.
 For every seed in A..B (default 0-9) and every workload in BENCHMARK.json,
 `bench/run.py --trace 0` runs once on each side, the side that runs first
 flipping from seed to seed, for BENCHMARK.json's `run_seconds`. The first
 seed is also run once per side at `--trace 1`. Then each side times the
 IN_PROCESS calls in its own interpreters, alternating sides, and counts
-`positivity._BoxTree.bounds` calls, which must repeat exactly. The output
+`positivity._BoxTree.bounds` calls; the count and the hash of each call's
+output must repeat exactly within a side. The output
 has the layout of BENCH_17.json: `runs`, `pairs`, `counts` and
 `in_process_s`; quartiles are statistics.quantiles(n=4, method='inclusive').
 """
@@ -18,12 +19,14 @@ has the layout of BENCH_17.json: `runs`, `pairs`, `counts` and
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -31,20 +34,25 @@ SIDES = ("parent", "change")
 PROCESSES = 3  # in-process interpreters per side
 REPEATS = 3  # calls of each in-process workload per interpreter
 
-# (function of moutardkit.search, arguments): the box-tree workloads
+# (function, its arguments as Python source in the child's namespace):
+# the box-tree workloads and the L2 oracle
 IN_PROCESS = [
-    ("verify_example_full", (1,)),
-    ("verify_example_full", (2,)),
-    ("sweep", (2, 0, 6)),
-    ("sweep", (3, 0, 6)),
-    ("sweep", (4, 0, 3)),
-    ("sweep", (5, 1, 6)),
+    ("verify_example_full", "1"),
+    ("verify_example_full", "2"),
+    ("sweep", "2, 0, 6"),
+    ("sweep", "3, 0, 6"),
+    ("sweep", "4, 0, 3"),
+    ("sweep", "5, 1, 6"),
+    ("numeric_l2_norm", "get_example(1).reference.psi1, 12, 128, 128"),
 ]
 
 # run in a fresh interpreter on one side's src/; prints one JSON object
 IN_PROCESS_CHILD = r"""
 import hashlib, json, sys, time
-from moutardkit import positivity, search
+from moutardkit import positivity
+from moutardkit.gallery import get_example
+from moutardkit.numeric import numeric_l2_norm
+from moutardkit.search import sweep, verify_example_full
 
 calls = [0]
 bounds = positivity._BoxTree.bounds
@@ -58,20 +66,23 @@ positivity._BoxTree.bounds = counted
 def canonical(out):
     if isinstance(out, list):  # a sweep's records
         return [record.to_obj() for record in out]
+    if hasattr(out, "to_obj"):  # an L2Estimate
+        return out.to_obj()
     report, certificate = out
     return [report.record.to_obj(), certificate.to_obj()]
 
 result = {}
-for name, args in json.loads(sys.argv[1]):
+for name, source in json.loads(sys.argv[1]):
+    function, args = globals()[name], eval(f"({source},)")
     times, counts, digests = [], set(), set()
     for _ in range(int(sys.argv[2])):
         calls[0] = 0
         start = time.perf_counter()
-        out = getattr(search, name)(*args)
+        out = function(*args)
         times.append(time.perf_counter() - start)
         counts.add(calls[0])
         digests.add(hashlib.sha256(json.dumps(canonical(out), sort_keys=True).encode()).hexdigest())
-    result[name + "(" + ", ".join(map(str, args)) + ")"] = {
+    result[f"{name}({source})"] = {
         "times": times, "counts": sorted(counts), "digests": sorted(digests)
     }
 print(json.dumps(result))
@@ -213,16 +224,12 @@ def main(argv=None):
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
         trees = {side: str(Path(tmp, side)) for side in SIDES}
-        try:
-            for side in SIDES:
-                git("worktree", "add", "--detach", trees[side], commits[side])
-            spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text(encoding="utf-8"))
-            result = record(trees, commits, args.seeds, spec)
-        finally:
-            for side in SIDES:
-                if Path(trees[side]).exists():
-                    git("worktree", "remove", "--force", trees[side])
-            git("worktree", "prune")
+        for side in SIDES:
+            archive = subprocess.run(["git", "archive", commits[side]], check=True, capture_output=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(trees[side])
+        spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text(encoding="utf-8"))
+        result = record(trees, commits, args.seeds, spec)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
