@@ -11,9 +11,9 @@ flipping from seed to seed, for BENCHMARK.json's `run_seconds`. The first
 seed is also run once per side at `--trace 1`. Then each side times the
 IN_PROCESS calls in its own interpreters, alternating sides, and counts
 `positivity._BoxTree.bounds` calls; the count and the hash of each call's
-output must repeat exactly within a side. The output
-has the layout of BENCH_17.json: `runs`, `pairs`, `counts` and
-`in_process_s`; quartiles are statistics.quantiles(n=4, method='inclusive').
+output must repeat exactly within a side. The output has the layout of
+BENCH_17.json: `runs`, `pairs`, `counts` and `in_process_s`; quartiles
+are statistics.quantiles(n=4, method='inclusive').
 """
 
 from __future__ import annotations
