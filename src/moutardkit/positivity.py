@@ -13,16 +13,17 @@ constant C that makes f + C certifiable, by that identity when a hint
 (p, q) verifies and otherwise by the box tree; it keeps no certificate,
 and only `global_positivity` builds one.
 
-Inside the cutoff radius the plane is covered by branch-and-bound with
-Bernstein bounds, on integers: boxes are dyadic cells of the root square
-and their bounds integers on a common scale, so `Fraction`s are built
-only for the cells and points reported. The least Bernstein coefficient
-of a box converges to the box's minimum quadratically under subdivision,
-where a centred form converges linearly (Garloff 1986; Zettler and
-Garloff, IEEE TAC 43, 1998). A box tree holds the bounds per box of one
-polynomial f, independent of depth limit and offset, so it decides f + k
-for every constant k by integer comparisons; a walk returns only its
-verdict. `global_positivity` reads the cells off w's own tree.
+Inside the cutoff radius the plane is covered by branch-and-bound on
+integers: boxes are dyadic cells of the root square, each with one
+integer tensor Bernstein grid that de Casteljau halving hands to its two
+halves, so `Fraction`s are built only for the cells and points reported.
+A box's least Bernstein coefficient bounds the polynomial there and
+converges to its minimum quadratically under subdivision (Garloff 1986;
+Zettler and Garloff, IEEE TAC 43, 1998); its corner coefficients are the
+exact values at the box corners. A box tree holds those two numbers per
+box of one polynomial f, independent of depth limit and offset, so it
+decides f + k for every constant k by integer comparisons; a walk
+returns only its verdict. `global_positivity` reads the cells off w's own tree.
 The constant search probes F + c on one tree of G = F - F(0,0) and keeps
 only whether each probe certified.
 `Inconclusive` is an explicit outcome, never treated as positive.
@@ -32,8 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DEFAULT_MAX_DEPTH, Inconclusive, NonPositiveLeadingForm
 from .polynomials import BivariatePoly
@@ -187,6 +187,19 @@ def leading_dominance(p: BivariatePoly) -> Tuple[Fraction, Fraction, int]:
     return bound, Fraction(lower_sum, p._den), d
 
 
+def _halves(coefficients: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The Bernstein coefficients of one degree-d row on the lower and the
+    upper half of its interval, each times 2^d: de Casteljau at t = 1/2
+    with pairwise sums, level k holding 2^k times de Casteljau's values."""
+    d = len(coefficients) - 1
+    row, lower, upper = coefficients, [], []
+    for k in range(d + 1):
+        lower.append(row[0] << d - k)
+        upper.append(row[-1] << d - k)
+        row = [a + b for a, b in zip(row, row[1:])]
+    return lower, upper[::-1]
+
+
 class _BoxTree:
     """The branch-and-bound boxes of one polynomial f, each bounded once.
 
@@ -196,18 +209,15 @@ class _BoxTree:
     floor(k/2) y-splits: bisecting the wider side, x on ties, alternates x
     and y from a square.
 
-    Bounds are integers. f is cleared once to integer coefficients over
-    one common denominator D, and a box's centre and half-widths (R, hy)
-    are integers over 2^s. Its Taylor coefficients b_ij at the centre, scaled
-    by 2^(s*(d-i-j)), come from integer Horner shifts, so on the common
-    scale D * 2^(s*d) the centre value and a_ij = b_ij * R^i * hy^j, the
-    coefficients of f on the box mapped to [-1, 1]^2, are integers. With
-    M = L * (the degree-d Bernstein coefficients of u^i on [-1, 1]), L the
-    lcm of the C(d, k), M^T * A * M is L^2 times f's tensor Bernstein grid
-    on the box, and the lower bound is its minimum floor-divided by L^2:
-    the spread is centre minus that. On every box the Bernstein
-    coefficients of f + k are f's plus k, so `traverse` decides any
-    constant offset k from f's memoized (centre, spread), all a walk keeps.
+    A box is one integer grid G: L^2 * D * 2^(k*d) times f's tensor
+    Bernstein coefficients on it, D the denominator of f and L the lcm of
+    the C(d, k). The root's is M^T * A * M, A_ij = c_ij * R^(i+j) and
+    M = L * (the Bernstein coefficients of u^i on [-1, 1]); a child's is
+    its parent's after `_halves` of every row and a transpose, so rows run
+    along the next split axis. G's least entry bounds f on the box, its
+    corner entries are f at the box corners, and the memo keeps both on
+    the common scale D * 2^(s*d). The Bernstein coefficients of f + k are
+    f's plus k, so `traverse` decides any offset k from the memo alone.
     """
 
     def __init__(self, f: BivariatePoly):
@@ -215,25 +225,22 @@ class _BoxTree:
         self.radius = r = math.ceil(max(Fraction(1), lower_sum / self.bound)) + 1
         self.denominator = f._den  # f = f._ints / denominator
         self.degree = d = int(f.degree)
-        # row i of M, from u^i = (t - (1-t))^i * ((1-t) + t)^(d-i), u = 2t - 1
+        # row i of M times R^i, from u^i = (t - (1-t))^i * ((1-t) + t)^(d-i), u = 2t - 1
         lcm = math.lcm(*(math.comb(d, k) for k in range(d + 1)))
         self.lcm_squared = lcm * lcm
         m = [
             [
-                lcm // math.comb(d, k)
+                r**i * lcm // math.comb(d, k)
                 * sum((-1) ** (i - n) * math.comb(i, n) * math.comb(d - i, k - n) for n in range(min(i, k) + 1))
                 for k in range(d + 1)
             ]
             for i in range(d + 1)
         ]
-        # the columns of M with row i scaled by h^i, for half-widths h = R, 2R
-        self.columns = [list(zip(*([h**i * v for v in row] for i, row in enumerate(m)))) for h in (r, 2 * r)]
-        # row i holds the coefficients of x^i y^j for j <= d - i
-        self.grid = [[0] * (d - i + 1) for i in range(d + 1)]
-        for (i, j), c in f._ints.items():
-            self.grid[i][j] = c
-        self.scaled: dict = {}  # s -> grid pre-scaled for that s
-        self.boxes: dict = {}  # (column, row, depth) -> (center, spread)
+        # M^T * A * M transposed: the root's rows run along x, the first split axis
+        terms, span = f._ints.items(), range(d + 1)
+        root = [[sum(c * m[i][k] * m[j][l] for (i, j), c in terms) for k in span] for l in span]
+        self.grids = {(0, 0, 0): root}  # (column, row, depth) -> G, until the box is halved
+        self.boxes: dict = {}  # (column, row, depth) -> (lower, corner, sx, sy)
 
     def geometry(self, i: int, j: int, depth: int) -> Tuple[int, int, int, int]:
         """(s, px, qy, hy): in units of 1/2^s, s = ceil(depth/2) x-splits,
@@ -245,41 +252,33 @@ class _BoxTree:
         qy = r * (2 * j + 1 - (1 << (s - odd))) << odd
         return s, px, qy, r << odd
 
-    def bounds(self, i: int, j: int, depth: int) -> Tuple[int, int]:
-        """(center, spread) of f on the box, both scaled by D * 2^(s*d):
-        the center value and the Bernstein lower bound are center and
-        center - spread over D * 2^(s*d)."""
-        s, px, qy, _ = self.geometry(i, j, depth)
-        d = self.degree
-        scaled = self.scaled.get(s)
-        if scaled is None:
-            # pre-scale entry (i, j) by 2^(s*(d-i-j)) so integer shifts by
-            # (px, qy) land on the scaled Taylor coefficients
-            scaled = self.scaled[s] = [
-                [c << (s * (d - i - j)) for j, c in enumerate(row)]
-                for i, row in enumerate(self.grid)
-            ]
-        grid = [row[:] for row in scaled]
-        for k in range(d):
-            for i in range(d - 1, k - 1, -1):
-                row = grid[i]
-                for j, c in enumerate(grid[i + 1]):
-                    row[j] += px * c
-        for row in grid:
-            for k in range(len(row) - 1):
-                for j in range(len(row) - 2, k - 1, -1):
-                    row[j] += qy * row[j + 1]
-        # (A * M)^T, then the least entry of M^T * A * M
-        product = list(zip(*([sum(map(mul, row, col)) for col in self.columns[depth % 2]] for row in grid)))
-        low = min(sum(map(mul, col, p)) for col in self.columns[0] for p in product)
-        return grid[0][0], grid[0][0] - low // self.lcm_squared
+    def bounds(self, i: int, j: int, depth: int) -> Tuple[int, int, int, int]:
+        """(lower, corner, sx, sy) on the scale D * 2^(s*d): the floor of f's
+        least Bernstein coefficient on the box, f at its least corner, and
+        that corner's side in x and y. A lower or left half turns the
+        parent's grid into both halves' grids."""
+        grids, box = self.grids, (i, j, depth)
+        grid = grids.get(box)
+        if grid is None:
+            odd = depth % 2  # the parent split x
+            lower, upper = zip(*map(_halves, grids.pop((i >> odd, j >> 1 - odd, depth - 1))))
+            grid = grids[box] = list(zip(*lower))
+            grids[i + odd, j + 1 - odd, depth] = list(zip(*upper))
+        first, last = grid[0], grid[-1]
+        # (value, side across the rows, side along them)
+        corner, a, b = min((first[0], -1, -1), (first[-1], -1, 1), (last[0], 1, -1), (last[-1], 1, 1))
+        scale = self.lcm_squared << depth // 2 * self.degree
+        # rows run along the box's split axis, x at even depth
+        return (min(map(min, grid)) // scale, corner // scale) + ((a, b) if depth % 2 else (b, a))
 
     def traverse(self, offset: Fraction, depth_limit: int) -> Optional[PositivityRefutation]:
-        """Branch-and-bound for f + offset in a fixed depth-first order.
+        """Branch-and-bound for f + offset in a fixed depth-first order,
+        lower or left half first.
 
         Returns None when every box is certified, or a refutation at the
-        first box centre where f + offset <= 0. Raises Inconclusive past
-        the depth limit. Only the memo records which boxes it bounded.
+        least corner of the first box with a corner where f + offset <= 0.
+        Raises Inconclusive past the depth limit. Only the memo records
+        which boxes it bounded.
         """
         boxes, d = self.boxes, self.degree
         b = offset.denominator
@@ -288,17 +287,16 @@ class _BoxTree:
         while stack:
             box = stack.pop()
             i, j, depth = box
-            s = (depth + 1) // 2
             known = boxes.get(box)
             if known is None:
                 known = boxes[box] = self.bounds(i, j, depth)
-            center = known[0] * b + (shift << s * d)
-            if center <= 0:
-                _, px, qy, _ = self.geometry(i, j, depth)
-                point = (Fraction(px, 1 << s), Fraction(qy, 1 << s))
-                scale = b * self.denominator << s * d
-                return PositivityRefutation(point, Fraction(center, scale))
-            if center > known[1] * b:
+            lower, corner, sx, sy = known
+            k = shift << (depth + 1) // 2 * d  # b * offset on the box's scale
+            if corner * b + k <= 0:
+                s, px, qy, hy = self.geometry(i, j, depth)
+                point = (Fraction(px + sx * self.radius, 1 << s), Fraction(qy + sy * hy, 1 << s))
+                return PositivityRefutation(point, Fraction(corner * b + k, b * self.denominator << s * d))
+            if lower * b + k > 0:
                 continue
             if depth >= depth_limit:
                 raise Inconclusive(depth_limit)
@@ -315,18 +313,18 @@ def _certificate(tree: _BoxTree) -> PositivityCertificate:
     """The certificate of f > 0, f the tree's polynomial, in canonical
     order. Precondition: one walk of the fresh tree at offset 0 has just
     certified f, so the memo holds that walk's boxes: the cells are those
-    with centre > spread, every other box was split, the deepest is a cell."""
+    with lower > 0, every other box was split, the deepest is a cell."""
     # sort on the integer corners over the common 2^top, then build each
     # cell's Fractions once
     max_depth_used = max(depth for _, _, depth in tree.boxes)
     top = (max_depth_used + 1) // 2
     radius, d = tree.radius, tree.degree
     keyed = []
-    for (i, j, depth), (center, spread) in tree.boxes.items():
-        if center > spread:
+    for (i, j, depth), (lower, *_) in tree.boxes.items():
+        if lower > 0:
             s, px, qy, hy = tree.geometry(i, j, depth)
             corners = tuple(v << (top - s) for v in (px - radius, px + radius, qy - hy, qy + hy))
-            keyed.append((corners, Fraction(center - spread, tree.denominator << s * d)))
+            keyed.append((corners, Fraction(lower, tree.denominator << s * d)))
     keyed.sort(key=lambda cell: cell[0])
     certified = tuple(
         CertifiedCell(tuple(Fraction(v, 1 << top) for v in corners), lower)
@@ -345,9 +343,10 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
     where w <= 0. Otherwise the leading form must dominate outside the
     cutoff radius R (NonPositiveLeadingForm when it cannot), and [-R, R]^2
     is covered by bisection with exact Bernstein bounds on a fresh tree of
-    w, walked at offset 0. A positive constant term is left out of the
-    tail sum, so R is that of w - w(0,0), the tree `min_positive_constant`
-    walks.
+    w, walked at offset 0: refuted at the first box corner where w <= 0,
+    certified when every leaf box has a positive bound. A positive
+    constant term is left out of the tail sum, so R is that of
+    w - w(0,0), the tree `min_positive_constant` walks.
     """
     w0 = w.coefficient(0, 0)
     if w0 <= 0:

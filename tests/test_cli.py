@@ -164,15 +164,27 @@ def test_exit_false_on_refuted_positivity(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["certified"] is False
 
 
-def test_exit_false_on_an_odd_degree_polynomial(capsys):
-    # x^3 + y^2 + 1 is positive at the origin and takes 0 at (-1, 0)
-    path = DATA / "positivity" / "odd_degree.json"
+def assert_refuted_where_printed(name, capsys):
+    """`positivity` exits 1 on a corpus input, and w at the printed point
+    is the printed value, <= 0."""
+    path = DATA / "positivity" / f"{name}.json"
     assert run("positivity", "--poly", str(path)) == cli.EXIT_FALSE
     refutation = json.loads(capsys.readouterr().out)["refutation"]
     w = serialization.obj_to_poly(json.loads(path.read_text(encoding="utf-8")))
     point = [serialization.obj_to_fraction(v) for v in refutation["point"]]
     value = serialization.obj_to_fraction(refutation["value"])
     assert w.evaluate(*point) == value <= 0
+
+
+def test_exit_false_on_an_odd_degree_polynomial(capsys):
+    # x^3 + y^2 + 1 is positive at the origin and takes 0 at (-1, 0)
+    assert_refuted_where_printed("odd_degree", capsys)
+
+
+def test_exit_false_on_a_polynomial_negative_between_box_centres(capsys):
+    # the walk meets no box centre where it is <= 0 within depth 40, but it
+    # meets a box corner where it is
+    assert_refuted_where_printed("negative_between_centres", capsys)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Exact positivity certification: circle bounds, certificates, refutations."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -50,7 +51,7 @@ def corpus_poly(name):
 # x^4 + 2y^4 + 1 - xy: its leading form is not radial, so the circle test
 # runs Sturm chains
 W_NONRADIAL = corpus_poly("nonradial_certified")
-# zero only at points with no rational coordinates, so no box centre
+# zero only at points with no rational coordinates, so no box corner
 # refutes and no box holding such a point is certified: Inconclusive at
 # every depth limit
 TOUCHING_ZERO = [corpus_poly(name) for name in ("touching_zero_nonradial", "zero_on_a_circle")]
@@ -301,6 +302,9 @@ CORPUS_OUTCOMES = [
     ("nonradial_certified", (10, 5), 19),
     # negative along the negative x-axis: refuted at (-1, 0) with no box
     ("odd_degree", "refuted", 0),
+    # F + 4 for the oriented degree-2 pair of search seed 7: negative
+    # between box centres, refuted at the box corner (-3/4, 0)
+    ("negative_between_centres", "refuted", 12),
 ]
 
 
@@ -342,6 +346,54 @@ def bernstein_minimum(w, box):
         for k in range(d + 1)
         for l in range(d + 1)
     )
+
+
+def random_tree_poly(rng):
+    """x^2d + y^2d plus random lower terms over small denominators, d = 1..3:
+    a positive leading form, so _BoxTree accepts it."""
+    d = rng.randint(1, 3)
+    terms = {
+        (i, n - i): Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+        for n in range(2 * d)
+        for i in range(n + 1)
+    }
+    terms[2 * d, 0] = terms[0, 2 * d] = Fraction(1)
+    return BivariatePoly(terms)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_corners_are_exact_values_and_its_least_entry_the_bernstein_minimum(seed):
+    # a random path down the tree, bounding both halves of every split; on
+    # each box, read both on the common scale D * 2^(s*d)
+    rng = random.Random(seed)
+    w = random_tree_poly(rng)
+    tree = _BoxTree(w)
+    d, box = tree.degree, (0, 0, 0)
+    memo = {box: tree.bounds(*box)}
+    for depth in range(9):
+        s, px, qy, hy = tree.geometry(*box)
+        scale = tree.denominator << s * d
+        x_lo, x_hi = Fraction(px - tree.radius, 1 << s), Fraction(px + tree.radius, 1 << s)
+        y_lo, y_hi = Fraction(qy - hy, 1 << s), Fraction(qy + hy, 1 << s)
+        values = {
+            (sx, sy): w.evaluate(x, y) * scale
+            for sx, x in ((-1, x_lo), (1, x_hi))
+            for sy, y in ((-1, y_lo), (1, y_hi))
+        }
+        grid = tree.grids[box]
+        grid_scale = tree.lcm_squared << depth // 2 * d
+        corners = [Fraction(row[k], grid_scale) for row in (grid[0], grid[-1]) for k in (0, -1)]
+        assert sorted(corners) == sorted(values.values())
+        lower, corner, sx, sy = memo[box]
+        assert corner == values[sx, sy] == min(values.values())
+        assert lower == math.floor(bernstein_minimum(w, (x_lo, x_hi, y_lo, y_hi)) * scale)
+        i, j, _ = box
+        if depth % 2:
+            halves = [(i, 2 * j, depth + 1), (i, 2 * j + 1, depth + 1)]
+        else:
+            halves = [(2 * i, j, depth + 1), (2 * i + 1, j, depth + 1)]
+        memo = {half: tree.bounds(*half) for half in halves}
+        box = rng.choice(halves)
 
 
 def reproved(w, certificate):
@@ -449,10 +501,10 @@ def offset_tree_positivity(w, max_depth=DEFAULT_MAX_DEPTH):
         return refutation
     b, shift, d = w0.denominator, w0.numerator * tree.denominator, tree.degree
     cells = []
-    for (i, j, depth), (center, spread) in tree.boxes.items():
-        center = center * b + (shift << (depth + 1) // 2 * d)
-        if center > spread * b:
-            cells.append((i, j, depth, center - spread * b))
+    for (i, j, depth), (lower, *_) in tree.boxes.items():
+        lower = lower * b + (shift << (depth + 1) // 2 * d)
+        if lower > 0:
+            cells.append((i, j, depth, lower))
     max_depth_used = max(depth for _, _, depth, _ in cells)
     top = (max_depth_used + 1) // 2
     radius, scale = tree.radius, b * tree.denominator
@@ -510,6 +562,23 @@ class TestOffsetTree:
             expected = outcome_or_error(offset_tree_positivity, w, depth)
             assert expected[0] == "Inconclusive"
             assert outcome_or_error(global_positivity, w, depth) == expected
+
+
+def test_constant_search_probes_below_c_are_refuted():
+    # every trial above the floor: F + C/2 is not certified, and a box
+    # corner shows why, on all 21 such trials of 36 pairs
+    trials = 0
+    for degree in (2, 3, 4):
+        for seed in range(12):
+            _, f = oriented_pair(degree, seed)
+            constant = positivity.min_positive_constant(f, 40)
+            if constant > positivity.REFINE_FLOOR:
+                trials += 1
+                w = f + BivariatePoly.constant(constant / 2)
+                outcome = global_positivity(w, 40)
+                assert isinstance(outcome, PositivityRefutation)
+                assert w.evaluate(*outcome.point) == outcome.value <= 0
+    assert trials == 21
 
 
 @pytest.fixture

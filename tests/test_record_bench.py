@@ -73,3 +73,42 @@ def test_in_process_child_repeats_the_l2_oracle():
     assert len(result["times"]) == 2
     assert len(result["counts"]) == 1 and result["counts"][0] > 0
     assert len(result["digests"]) == 1
+
+
+def test_in_process_child_records_the_peak_of_one_untimed_call():
+    assert ("sweep", "6, 0, 4") in record_bench.IN_PROCESS
+    entry = ("verify_example_full", "1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", record_bench.IN_PROCESS_CHILD, json.dumps([entry]), "2"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)["verify_example_full(1)"]
+    # two timed calls; the traced third leaves the per-call count alone
+    assert len(result["times"]) == 2 and result["counts"] == [11]
+    assert isinstance(result["peak_bytes"], int) and result["peak_bytes"] > 0
+
+
+def interpreter_run(times, count, digest, peak_bytes):
+    return {"times": times, "counts": [count], "digests": [digest], "peak_bytes": peak_bytes}
+
+
+def test_in_process_entry_pools_times_and_keeps_each_interpreter_peak():
+    runs = {
+        "parent": [interpreter_run([3.0, 1.0], 7, "a", 2**20), interpreter_run([2.0], 7, "a", 2**21)],
+        "change": [interpreter_run([1.0, 0.5], 4, "a", 2**19), interpreter_run([0.25], 4, "a", 2**19)],
+    }
+    counts, entry = record_bench.in_process_entry("w", runs)
+    assert counts == {"parent": 7, "change": 4}
+    assert entry["parent"] == [3.0, 1.0, 2.0] and entry["median"] == {"parent": 2.0, "change": 0.5}
+    assert entry["output_sha256"] == {"parent": "a", "change": "a"}
+    assert entry["tracemalloc_peak_mib"] == {"parent": [1.0, 2.0], "change": [0.5, 0.5]}
+
+
+def test_in_process_entry_exits_when_a_count_does_not_repeat():
+    runs = {
+        "parent": [interpreter_run([1.0], 7, "a", 1), interpreter_run([1.0], 8, "a", 1)],
+        "change": [interpreter_run([1.0], 4, "a", 1)],
+    }
+    with pytest.raises(SystemExit):
+        record_bench.in_process_entry("w", runs)

@@ -11,8 +11,10 @@ flipping from seed to seed, for BENCHMARK.json's `run_seconds`. The first
 seed is also run once per side at `--trace 1`. Then each side times the
 IN_PROCESS calls in its own interpreters, alternating sides, and counts
 `positivity._BoxTree.bounds` calls; the count and the hash of each call's
-output must repeat exactly within a side. The output has the layout of
-BENCH_17.json: `runs`, `pairs`, `counts` and `in_process_s`; quartiles
+output must repeat exactly within a side. One more call per interpreter,
+untimed, runs under tracemalloc for its peak of traced memory. The output
+has the layout of BENCH_17.json: `runs`, `pairs`, `counts` and
+`in_process_s`, whose entries also hold `tracemalloc_peak_mib`; quartiles
 are statistics.quantiles(n=4, method='inclusive').
 """
 
@@ -43,12 +45,13 @@ IN_PROCESS = [
     ("sweep", "3, 0, 6"),
     ("sweep", "4, 0, 3"),
     ("sweep", "5, 1, 6"),
+    ("sweep", "6, 0, 4"),
     ("numeric_l2_norm", "get_example(1).reference.psi1, 12, 128, 128"),
 ]
 
 # run in a fresh interpreter on one side's src/; prints one JSON object
 IN_PROCESS_CHILD = r"""
-import hashlib, json, sys, time
+import hashlib, json, sys, time, tracemalloc
 from moutardkit import positivity
 from moutardkit.gallery import get_example
 from moutardkit.numeric import numeric_l2_norm
@@ -82,8 +85,12 @@ for name, source in json.loads(sys.argv[1]):
         times.append(time.perf_counter() - start)
         counts.add(calls[0])
         digests.add(hashlib.sha256(json.dumps(canonical(out), sort_keys=True).encode()).hexdigest())
+    tracemalloc.start()
+    function(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     result[f"{name}({source})"] = {
-        "times": times, "counts": sorted(counts), "digests": sorted(digests)
+        "times": times, "counts": sorted(counts), "digests": sorted(digests), "peak_bytes": peak
     }
 print(json.dumps(result))
 """
@@ -152,6 +159,23 @@ def in_process(tree):
     return json.loads(proc.stdout)
 
 
+def in_process_entry(name, runs):
+    """(`bounds` count per side, `in_process_s` entry) of one IN_PROCESS
+    workload from each side's interpreter results; exits unless the count
+    and the output hash repeat within each side."""
+    counts = {side: {n for run in runs[side] for n in run["counts"]} for side in SIDES}
+    digests = {side: {d for run in runs[side] for d in run["digests"]} for side in SIDES}
+    if any(len(counts[side]) != 1 or len(digests[side]) != 1 for side in SIDES):
+        sys.exit(f"record_bench: {name} did not repeat its count or output: {counts} {digests}")
+    times = {side: [t for run in runs[side] for t in run["times"]] for side in SIDES}
+    return {side: counts[side].pop() for side in SIDES}, {
+        **times,
+        "median": {side: statistics.median(times[side]) for side in SIDES},
+        "output_sha256": {side: digests[side].pop() for side in SIDES},
+        "tracemalloc_peak_mib": {side: [run["peak_bytes"] / 2**20 for run in runs[side]] for side in SIDES},
+    }
+
+
 def record(trees, commits, seeds, spec):
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
@@ -200,18 +224,10 @@ def record(trees, commits, seeds, spec):
         print(f"record_bench: in process {side}", file=sys.stderr, flush=True)
         timings[side].append(in_process(trees[side]))
     for name in timings["parent"][0]:
-        sides = {side: [run[name] for run in timings[side]] for side in SIDES}
-        counts = {side: {n for run in sides[side] for n in run["counts"]} for side in SIDES}
-        digests = {side: {d for run in sides[side] for d in run["digests"]} for side in SIDES}
-        if any(len(counts[side]) != 1 or len(digests[side]) != 1 for side in SIDES):
-            sys.exit(f"record_bench: {name} did not repeat its count or output: {counts} {digests}")
-        out["counts"][f"_BoxTree.bounds calls, {name} in process"] = {side: counts[side].pop() for side in SIDES}
-        times = {side: [t for run in sides[side] for t in run["times"]] for side in SIDES}
-        out["in_process_s"][name] = {
-            **times,
-            "median": {side: statistics.median(times[side]) for side in SIDES},
-            "output_sha256": {side: digests[side].pop() for side in SIDES},
-        }
+        count, out["in_process_s"][name] = in_process_entry(
+            name, {side: [run[name] for run in timings[side]] for side in SIDES}
+        )
+        out["counts"][f"_BoxTree.bounds calls, {name} in process"] = count
     return out
 
 
