@@ -1,10 +1,9 @@
 """Exact positivity certification: circle bounds, certificates, refutations."""
 
 import json
-import math
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 from pathlib import Path
 
 import pytest
@@ -386,7 +385,7 @@ def test_grid_corners_are_exact_values_and_its_least_entry_the_bernstein_minimum
         assert sorted(corners) == sorted(values.values())
         lower, corner, sx, sy = memo[box]
         assert corner == values[sx, sy] == min(values.values())
-        assert lower == math.floor(bernstein_minimum(w, (x_lo, x_hi, y_lo, y_hi)) * scale)
+        assert lower == floor(bernstein_minimum(w, (x_lo, x_hi, y_lo, y_hi)) * scale)
         i, j, _ = box
         if depth % 2:
             halves = [(i, 2 * j, depth + 1), (i, 2 * j + 1, depth + 1)]
