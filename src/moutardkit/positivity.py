@@ -212,12 +212,12 @@ class _BoxTree:
     A box is one integer grid G: L^2 * D * 2^(k*d) times f's tensor
     Bernstein coefficients on it, D the denominator of f and L the lcm of
     the C(d, k). The root's is M^T * A * M, A_ij = c_ij * R^(i+j) and
-    M = L * (the Bernstein coefficients of u^i on [-1, 1]); a child's is
-    its parent's after `_halves` of every row and a transpose, so rows run
-    along the next split axis. G's least entry bounds f on the box, its
-    corner entries are f at the box corners, and the memo keeps both on
-    the common scale D * 2^(s*d). The Bernstein coefficients of f + k are
-    f's plus k, so `traverse` decides any offset k from the memo alone.
+    M = L * (the Bernstein coefficients of u^i on [-1, 1]); `split` makes
+    a child's from its parent's by `_halves` of every row and a transpose,
+    so rows run along the next split axis. G's least entry bounds f on the
+    box, its corner entries are f at the box corners, and the memo keeps
+    both on the common scale D * 2^(s*d). The Bernstein coefficients of
+    f + k are f's plus k, so `traverse` decides any offset k from the memo.
     """
 
     def __init__(self, f: BivariatePoly):
@@ -252,18 +252,23 @@ class _BoxTree:
         qy = r * (2 * j + 1 - (1 << (s - odd))) << odd
         return s, px, qy, r << odd
 
+    def split(self, i: int, j: int, depth: int) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
+        """The box's two halves in walk order, lower or left first. Its first
+        split hands its grid to both halves; a later one only names them."""
+        odd = depth % 2  # an odd-depth box splits y
+        lower = (i << 1 - odd, j << odd, depth + 1)
+        upper = (lower[0] + 1 - odd, lower[1] + odd, depth + 1)
+        grid = self.grids.pop((i, j, depth), None)
+        if grid is not None:
+            rows = zip(*map(_halves, grid))  # (lower rows, upper rows)
+            self.grids[lower], self.grids[upper] = (list(zip(*half)) for half in rows)
+        return lower, upper
+
     def bounds(self, i: int, j: int, depth: int) -> Tuple[int, int, int, int]:
         """(lower, corner, sx, sy) on the scale D * 2^(s*d): the floor of f's
         least Bernstein coefficient on the box, f at its least corner, and
-        that corner's side in x and y. A lower or left half turns the
-        parent's grid into both halves' grids."""
-        grids, box = self.grids, (i, j, depth)
-        grid = grids.get(box)
-        if grid is None:
-            odd = depth % 2  # the parent split x
-            lower, upper = zip(*map(_halves, grids.pop((i >> odd, j >> 1 - odd, depth - 1))))
-            grid = grids[box] = list(zip(*lower))
-            grids[i + odd, j + 1 - odd, depth] = list(zip(*upper))
+        that corner's side in x and y, read off the grid `split` left."""
+        grid = self.grids[i, j, depth]
         first, last = grid[0], grid[-1]
         # (value, side across the rows, side along them)
         corner, a, b = min((first[0], -1, -1), (first[-1], -1, 1), (last[0], 1, -1), (last[-1], 1, 1))
@@ -272,8 +277,8 @@ class _BoxTree:
         return (min(map(min, grid)) // scale, corner // scale) + ((a, b) if depth % 2 else (b, a))
 
     def traverse(self, offset: Fraction, depth_limit: int) -> Optional[PositivityRefutation]:
-        """Branch-and-bound for f + offset in a fixed depth-first order,
-        lower or left half first.
+        """Branch-and-bound for f + offset depth first, visiting the halves
+        of a box in the order `split` returns them.
 
         Returns None when every box is certified, or a refutation at the
         least corner of the first box with a corner where f + offset <= 0.
@@ -300,12 +305,7 @@ class _BoxTree:
                 continue
             if depth >= depth_limit:
                 raise Inconclusive(depth_limit)
-            if depth % 2:
-                stack.append((i, 2 * j + 1, depth + 1))
-                stack.append((i, 2 * j, depth + 1))
-            else:
-                stack.append((2 * i + 1, j, depth + 1))
-                stack.append((2 * i, j, depth + 1))
+            stack.extend(reversed(self.split(i, j, depth)))
         return None
 
 

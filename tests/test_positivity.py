@@ -3,10 +3,11 @@
 import json
 import random
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, lcm
 from pathlib import Path
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from moutardkit import positivity, search, serialization, sturm
@@ -386,11 +387,8 @@ def test_grid_corners_are_exact_values_and_its_least_entry_the_bernstein_minimum
         lower, corner, sx, sy = memo[box]
         assert corner == values[sx, sy] == min(values.values())
         assert lower == floor(bernstein_minimum(w, (x_lo, x_hi, y_lo, y_hi)) * scale)
-        i, j, _ = box
-        if depth % 2:
-            halves = [(i, 2 * j, depth + 1), (i, 2 * j + 1, depth + 1)]
-        else:
-            halves = [(2 * i, j, depth + 1), (2 * i + 1, j, depth + 1)]
+        halves = tree.split(*box)
+        assert box not in tree.grids and tree.split(*box) == halves
         memo = {half: tree.bounds(*half) for half in halves}
         box = rng.choice(halves)
 
@@ -422,6 +420,161 @@ def test_every_cell_is_reproved_by_the_textbook_bernstein_formula(name):
     cell = certificate.cells[-1]
     raised = cell._replace(lower_bound=bernstein_minimum(w, cell.box) + Fraction(1, 2**64))
     assert not reproved(w, certificate._replace(cells=certificate.cells[:-1] + (raised,)))
+
+
+def walk_outputs():
+    """Both examples' certificates and two sweeps' records, as JSON objects."""
+    certificates = [example_certificate(ident)[1].to_obj() for ident in (1, 2)]
+    records = [[record.to_obj() for record in search.sweep(*args)] for args in ((3, 0, 6), (5, 1, 6))]
+    return certificates, records
+
+
+def test_the_walk_order_is_free(monkeypatch):
+    # halves visited upper or right first: certifying walks visit the same
+    # boxes, so certificates and constants hold, and every refutation is a
+    # true one, read off the grid of its own box
+    expected = walk_outputs()
+    init, split, traverse = _BoxTree.__init__, _BoxTree.split, _BoxTree.traverse
+    polynomials, refutations = {}, []
+
+    def recording_init(self, f):
+        init(self, f)
+        polynomials[self] = f
+
+    def recording_traverse(self, offset, depth_limit):
+        refutation = traverse(self, offset, depth_limit)
+        if refutation is not None:
+            refutations.append((polynomials[self], offset, refutation))
+        return refutation
+
+    monkeypatch.setattr(_BoxTree, "split", lambda self, *box: split(self, *box)[::-1])
+    monkeypatch.setattr(_BoxTree, "__init__", recording_init)
+    monkeypatch.setattr(_BoxTree, "traverse", recording_traverse)
+    assert walk_outputs() == expected
+    refuted = [corpus_poly("negative_between_centres"), off_centre_disk()]
+    for w in refuted:
+        assert isinstance(global_positivity(w), PositivityRefutation)
+    assert len(refutations) > len(refuted)
+    for f, offset, refutation in refutations:
+        assert f.evaluate(*refutation.point) + offset == refutation.value <= 0
+
+
+def random_poly(rng, degree, bound, low=0):
+    """Integer coefficients drawn from [-bound, bound] on total degrees low..degree."""
+    return BivariatePoly(
+        {(i, n - i): rng.randint(-bound, bound) for n in range(low, degree + 1) for i in range(n + 1)}
+    )
+
+
+def sum_of_squares_input(rng):
+    """p^2 + q^2 + x^(2d+2) + c*y^(2d+2) + r + k, d = 1..3: a non-radial top,
+    so the circle test takes the Sturm path."""
+    d = rng.randint(1, 3)
+    p, q = random_poly(rng, d, 3), random_poly(rng, d, 3)
+    top = X ** (2 * d + 2) + (Y ** (2 * d + 2)).scale(rng.randint(1, 3))
+    return p * p + q * q + top + random_poly(rng, 2 * d + 1, 2) + BivariatePoly.constant(rng.randint(-3, 6))
+
+
+def near_touching_input(rng):
+    """s^2 + t^2 + 2^-k for independent linear s, t: minimum 2^-k at a
+    rational point that is rarely dyadic."""
+    while True:
+        s, t = random_poly(rng, 1, 3), random_poly(rng, 1, 3)
+        if s.coefficient(1, 0) * t.coefficient(0, 1) != s.coefficient(0, 1) * t.coefficient(1, 0):
+            return s * s + t * t + BivariatePoly.constant(Fraction(1, 2 ** rng.randint(1, 40)))
+
+
+def odd_degree_input(rng):
+    """A sum-of-squares input plus a random form one degree higher."""
+    w = sum_of_squares_input(rng)
+    n = int(w.degree) + 1
+    return w + random_poly(rng, n, 2, n) + X**n
+
+
+def random_top_input(rng):
+    """A random even top form, often indefinite, over a positive constant."""
+    n = 2 * rng.randint(1, 3)
+    return random_poly(rng, n, 3, n) + random_poly(rng, n - 1, 2) + BivariatePoly.constant(rng.randint(1, 6))
+
+
+# about 100 seeded inputs of the shape of ROADMAP item 2
+RANDOM_INPUTS = [
+    (sum_of_squares_input, 56),
+    (near_touching_input, 20),
+    (odd_degree_input, 12),
+    (random_top_input, 12),
+]
+
+
+def tiles(boxes, box):
+    """Whether the boxes are the leaves of one bisection tree of box, all
+    corners integers: a box of two or more leaves splits at an integer."""
+    if len(boxes) <= 1:
+        return boxes == [box]
+    for axis in (0, 2):
+        mid, odd = divmod(box[axis] + box[axis + 1], 2)
+        if not odd and all(b[axis + 1] <= mid or b[axis] >= mid for b in boxes):
+            lower, upper = list(box), list(box)
+            lower[axis + 1] = upper[axis] = mid
+            return tiles([b for b in boxes if b[axis + 1] <= mid], tuple(lower)) and tiles(
+                [b for b in boxes if b[axis] >= mid], tuple(upper)
+            )
+    return False
+
+
+def negative_on_the_eighth_grid(w):
+    """Whether w <= 0 at a point of the grid (1/8)Z^2 on [-5, 5]^2, by exact
+    integer evaluation of m * 8^D * w, m the lcm of w's denominators."""
+    d, m = int(w.degree), lcm(*(c.denominator for _, c in w.items()))
+    terms = [(i, j, int(c * m) * 8 ** (d - i - j)) for (i, j), c in w.items()]
+    return any(
+        sum(c * a**i * b**j for i, j, c in terms) <= 0 for a in range(-40, 41) for b in range(-40, 41)
+    )
+
+
+def sympy_finds_the_leading_form_nonpositive(w):
+    """lead(0, 1) <= 0, or the section lead(1, t) has a real root or a
+    value <= 0, by sympy on w's top-degree terms."""
+    x, y, t = sp.symbols("x y t")
+    poly = sp.Poly(sum(sp.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in w.items()), x, y)
+    n = poly.total_degree()
+    lead = sum(c * x**i * y**j for (i, j), c in poly.terms() if i + j == n)
+    section = sp.Poly(lead.subs({x: 1, y: t}), t)
+    return lead.subs({x: 0, y: 1}) <= 0 or section.count_roots() > 0 or section.eval(0) <= 0
+
+
+def test_random_inputs_are_decided_soundly():
+    # each verdict checked by a route that shares no code with the prover;
+    # one cell per certificate, its least bound, is re-proved (every cell
+    # would take seconds)
+    rng = random.Random(0)
+    verdicts = set()
+    for draw, count in RANDOM_INPUTS:
+        for _ in range(count):
+            w = draw(rng)
+            try:
+                outcome = global_positivity(w, DEFAULT_MAX_DEPTH)
+            except Inconclusive:
+                verdicts.add("Inconclusive")
+                assert not negative_on_the_eighth_grid(w)
+            except NonPositiveLeadingForm:
+                verdicts.add("NonPositiveLeadingForm")
+                assert sympy_finds_the_leading_form_nonpositive(w)
+            else:
+                if isinstance(outcome, PositivityRefutation):
+                    verdicts.add("refuted")
+                    assert w.evaluate(*outcome.point) == outcome.value <= 0
+                    continue
+                verdicts.add("certified")
+                # on integers: the corners are dyadic, the radius an integer
+                m = max(v.denominator for cell in outcome.cells for v in cell.box)
+                r = int(outcome.cutoff_radius * m)
+                assert tiles([tuple(int(v * m) for v in cell.box) for cell in outcome.cells], (-r, r, -r, r))
+                least = min(outcome.cells, key=lambda cell: cell.lower_bound)
+                assert reproved(w, outcome._replace(cells=(least,)))
+                assert global_positivity(w, DEFAULT_MAX_DEPTH + 1) == outcome
+    # every check above ran
+    assert verdicts == {"certified", "refuted", "Inconclusive", "NonPositiveLeadingForm"}
 
 
 def conjugate_hint(omega):

@@ -49,9 +49,15 @@ def test_compare_counts_wins_by_direction_and_ties():
 
 def test_parse_seeds():
     assert record_bench.parse_seeds("3-6") == [3, 4, 5, 6]
-    assert record_bench.parse_seeds("5") == [5]
-    with pytest.raises(argparse.ArgumentTypeError):
-        record_bench.parse_seeds("6-3")
+    assert record_bench.parse_seeds("5-6") == [5, 6]
+    # a side's quartiles need two seeds
+    for text in ("6-3", "5", "5-5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            record_bench.parse_seeds(text)
+    # so --seeds 5 stops at the command line, before any run
+    with pytest.raises(SystemExit) as exit_info:
+        record_bench.main(["HEAD", "--seeds", "5", "--out", "unused.json"])
+    assert exit_info.value.code == 2
 
 
 def test_recorder_is_stdlib_only():
@@ -103,6 +109,17 @@ def test_in_process_entry_pools_times_and_keeps_each_interpreter_peak():
     assert entry["parent"] == [3.0, 1.0, 2.0] and entry["median"] == {"parent": 2.0, "change": 0.5}
     assert entry["output_sha256"] == {"parent": "a", "change": "a"}
     assert entry["tracemalloc_peak_mib"] == {"parent": [1.0, 2.0], "change": [0.5, 0.5]}
+    assert entry["change_better"] == 2
+
+
+def test_in_process_entry_counts_the_pairs_whose_change_median_is_lower():
+    # pair medians: parent 2, 5, 4 and change 3, 1, 4 (a tie counts for neither)
+    runs = {
+        "parent": [interpreter_run(times, 7, "a", 1) for times in ([1.0, 2.0, 9.0], [5.0], [4.0, 4.0])],
+        "change": [interpreter_run(times, 7, "a", 1) for times in ([3.0], [0.5, 1.0, 8.0], [4.0])],
+    }
+    assert record_bench.in_process_entry("w", runs)[1]["change_better"] == 1
+
 
 
 def test_in_process_entry_exits_when_a_count_does_not_repeat():

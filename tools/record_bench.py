@@ -5,17 +5,19 @@
 Run from the root of a git checkout; stdlib only. PARENT and HEAD are
 exported with `git archive` into a temporary directory, so both sides
 run their committed files with the same benchmark settings.
-For every seed in A..B (default 0-9) and every workload in BENCHMARK.json,
-`bench/run.py --trace 0` runs once on each side, the side that runs first
-flipping from seed to seed, for BENCHMARK.json's `run_seconds`. The first
-seed is also run once per side at `--trace 1`. Then each side times the
-IN_PROCESS calls in its own interpreters, alternating sides, and counts
-`positivity._BoxTree.bounds` calls; the count and the hash of each call's
-output must repeat exactly within a side. One more call per interpreter,
-untimed, runs under tracemalloc for its peak of traced memory. The output
+For every seed in A..B (default 0-9; two or more) and every workload in
+BENCHMARK.json, `bench/run.py --trace 0` runs once on each side, the side
+that runs first flipping from seed to seed, for BENCHMARK.json's
+`run_seconds`. The first seed is also run once per side at `--trace 1`.
+Then each side times the IN_PROCESS calls in its own interpreters,
+alternating sides, and counts `positivity._BoxTree.bounds` calls; the
+count and the hash of each call's output must repeat exactly within a
+side. One more call per interpreter, untimed, runs under tracemalloc for
+its peak of traced memory. The output
 has the layout of BENCH_17.json: `runs`, `pairs`, `counts` and
-`in_process_s`, whose entries also hold `tracemalloc_peak_mib`; quartiles
-are statistics.quantiles(n=4, method='inclusive').
+`in_process_s`, whose entries also hold `tracemalloc_peak_mib` and
+`change_better`, the interpreter pairs whose change median beats the
+parent's; quartiles are statistics.quantiles(n=4, method='inclusive').
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-PROCESSES = 3  # in-process interpreters per side
-REPEATS = 3  # calls of each in-process workload per interpreter
+PROCESSES = 12  # in-process interpreters per side
+REPEATS = 7  # calls of each in-process workload per interpreter
 
 # (function, its arguments as Python source in the child's namespace):
 # the box-tree workloads and the L2 oracle
@@ -120,10 +122,11 @@ def compare(parent, change, better):
 
 
 def parse_seeds(text):
+    """The seeds A..B of "A-B"; the quartiles of a side need two or more."""
     first, _, last = text.partition("-")
     seeds = list(range(int(first), int(last or first) + 1))
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} has fewer than two seeds")
     return seeds
 
 
@@ -161,16 +164,20 @@ def in_process(tree):
 
 def in_process_entry(name, runs):
     """(`bounds` count per side, `in_process_s` entry) of one IN_PROCESS
-    workload from each side's interpreter results; exits unless the count
-    and the output hash repeat within each side."""
+    workload from each side's interpreter results, listed in pair order;
+    exits unless the count and the output hash repeat within each side.
+    `change_better` counts the interpreter pairs whose change median is
+    below the parent's."""
     counts = {side: {n for run in runs[side] for n in run["counts"]} for side in SIDES}
     digests = {side: {d for run in runs[side] for d in run["digests"]} for side in SIDES}
     if any(len(counts[side]) != 1 or len(digests[side]) != 1 for side in SIDES):
         sys.exit(f"record_bench: {name} did not repeat its count or output: {counts} {digests}")
     times = {side: [t for run in runs[side] for t in run["times"]] for side in SIDES}
+    pair_medians = {side: [statistics.median(run["times"]) for run in runs[side]] for side in SIDES}
     return {side: counts[side].pop() for side in SIDES}, {
         **times,
         "median": {side: statistics.median(times[side]) for side in SIDES},
+        "change_better": compare(pair_medians["parent"], pair_medians["change"], "lower")[0],
         "output_sha256": {side: digests[side].pop() for side in SIDES},
         "tracemalloc_peak_mib": {side: [run["peak_bytes"] / 2**20 for run in runs[side]] for side in SIDES},
     }
