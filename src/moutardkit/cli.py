@@ -32,7 +32,7 @@ from .errors import (
     NonPositiveLeadingForm,
     VerificationFailed,
 )
-from .polynomials import BivariatePoly, RationalFn, _int_eval, _integer_point
+from .polynomials import BivariatePoly, RationalFn
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -183,21 +183,14 @@ def cmd_sample(args) -> int:
     lo, hi = _parse_fraction(args.min), _parse_fraction(args.max)
     if lo >= hi:
         raise UsageError("empty sampling range")
-    # the axis of numeric.uniform_grid(lo, hi, lo, hi, resolution), on one denominator q
+    # the axis of numeric.uniform_grid(lo, hi, lo, hi, resolution)
     axis = [lo + (hi - lo) * i / (args.resolution - 1) for i in range(args.resolution)]
-    q, *ints = _integer_point(*axis)
     labels = [_decimal17(v) for v in axis]
-    num, den, d = fn._int_pair()
+    pairs = fn.values_at([(x, y) for x in axis for y in axis])
     lines = ["x,y,value"]
-    poles = 0
-    for x, x_label in zip(ints, labels):
-        for y, y_label in zip(ints, labels):
-            try:
-                value = _decimal17(Fraction(_int_eval(num, d, x, y, q), _int_eval(den, d, x, y, q)))
-            except ZeroDivisionError:
-                poles += 1
-                value = "nan"
-            lines.append(f"{x_label},{y_label},{value}")
+    for (x, y), (n, d) in zip([(x, y) for x in labels for y in labels], pairs):
+        lines.append(f"{x},{y},{_decimal17(Fraction(n, d)) if d else 'nan'}")
+    poles = sum(d == 0 for _, d in pairs)
     if poles:
         print(f"warning: {poles} grid points hit a pole", file=sys.stderr)
     _emit("\n".join(lines), args.out)

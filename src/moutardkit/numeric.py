@@ -1,13 +1,13 @@
 """Floating-point oracles: finite-difference residuals and L2 estimates.
 
 These are the only two places the package touches floating point. The
-finite-difference stencil is exact: u and psi are evaluated on integers at
-each stencil's common denominator and combined into one exact rational per
-grid point (so the reported residual is pure truncation error, decreasing
-at O(h^2) wherever the symbolic residual vanishes); only the final
-magnitudes are floats. The L2 sum is floats throughout: psi's numerator
-and denominator become polynomials in r once per angle, evaluated by
-Horner along each ray.
+finite-difference stencil is exact: `RationalFn.values_at` gives u and psi
+as integer pairs at every stencil point, combined into one exact rational
+per grid point (so the reported residual is pure truncation error,
+decreasing at O(h^2) wherever the symbolic residual vanishes); only the
+final magnitudes are floats. The L2 sum is floats throughout: psi's
+numerator and denominator become polynomials in r once per angle,
+evaluated by Horner along each ray.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .decay import decay_exponent, square_summable
 from .errors import PoleTooClose
 from .polynomials import BivariatePoly, RationalFn, RationalLike, as_fraction
-from .polynomials import _int_eval, _integer_point  # the cleared-integer kernel
 from .positivity import PositivityCertificate, global_positivity, leading_dominance
 
 Point = Tuple[Fraction, Fraction]
@@ -54,39 +53,35 @@ def numeric_residual(
     """max over the grid of |-Lap_h(psi) + u*psi| with the 5-point stencil.
 
     Raises PoleTooClose when a stencil point hits a denominator zero or a
-    denominator changes sign across the stencil (a zero inside it). Each
-    stencil is evaluated on integers over one common denominator q, and
-    its five values combine into one exact residual per grid point.
+    denominator changes sign across the stencil (a zero inside it). One
+    `RationalFn.values_at` call per function gives integer pairs at every
+    stencil point over one common denominator, and each stencil's five
+    pairs combine into one exact residual per grid point.
     """
     step = as_fraction(h)
     if step <= 0:
         raise ValueError("step h must be positive")
-    u_num, u_den, u_degree = u._int_pair()
-    psi_num, psi_den, psi_degree = psi._int_pair()
+    s, t = step.numerator, step.denominator
+    points = [p for x, y in grid for p in ((x, y), (x + step, y), (x - step, y), (x, y + step), (x, y - step))]
+    values = {"u": u.values_at(points), "psi": psi.values_at(points)}
     worst = Fraction(0)
-    for x0, y0 in grid:
-        q, x, y, s = _integer_point(x0, y0, step)
-        pts = ((x, y), (x + s, y), (x - s, y), (x, y + s), (x, y - s))
-        dens = {"u": [], "psi": []}
-        for px, py in pts:
-            for name, den, degree in (("u", u_den, u_degree), ("psi", psi_den, psi_degree)):
-                value = _int_eval(den, degree, px, py, q)
-                if value == 0:
-                    where = f"({Fraction(px, q)}, {Fraction(py, q)})"
-                    raise PoleTooClose(f"{name} denominator vanishes at {where}")
-                dens[name].append(value)
-        for name, values in dens.items():
-            if len({value > 0 for value in values}) > 1:
+    for start in range(0, len(points), 5):
+        pairs = {name: at[start : start + 5] for name, at in values.items()}
+        for k, (px, py) in enumerate(points[start : start + 5]):
+            for name, at in pairs.items():
+                if at[k][1] == 0:
+                    raise PoleTooClose(f"{name} denominator vanishes at ({px}, {py})")
+        for name, at in pairs.items():
+            if len({d > 0 for _, d in at}) > 1:
                 raise PoleTooClose(f"{name} denominator changes sign inside a stencil")
         # h^2 * Lap_h(psi) = a/b, summed as integer pairs over the stencil
-        d0 = dens["psi"][0]
-        n0 = _int_eval(psi_num, psi_degree, x, y, q)
+        (n0, d0), *others = pairs["psi"]
         a, b = -4 * n0, d0
-        for (px, py), d in zip(pts[1:], dens["psi"][1:]):
-            a, b = a * d + _int_eval(psi_num, psi_degree, px, py, q) * b, b * d
-        # -Lap_h(psi) + u*psi with h = s/q and u(center) = w0/e0
-        w0, e0 = _int_eval(u_num, u_degree, x, y, q), dens["u"][0]
-        residual = abs(Fraction(w0 * n0 * b * s * s - a * q * q * e0 * d0, b * s * s * e0 * d0))
+        for n, d in others:
+            a, b = a * d + n * b, b * d
+        # -Lap_h(psi) + u*psi with h = s/t and u(center) = w0/e0
+        w0, e0 = pairs["u"][0]
+        residual = abs(Fraction(w0 * n0 * b * s * s - a * t * t * e0 * d0, b * s * s * e0 * d0))
         if residual > worst:
             worst = residual
     return float(worst)

@@ -24,8 +24,8 @@ on its coefficients.
 
 Evaluation runs on integers as well: with stored terms c_ij over den,
 p(x/q, y/q) is V / (den * q^d), V the integer sum of c_ij * x^i * y^j *
-q^(d-i-j) returned by `_int_eval`. Callers with many points build one
-Fraction each.
+q^(d-i-j) from `_int_eval`. `RationalFn.values_at` puts many points over
+one q and returns integer pairs, so a caller builds no Fraction per point.
 
 Rational functions are unreduced quotients; equality is decided by
 cross-multiplication, never by computing a multivariate gcd.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ExactDivisionError
 
@@ -106,17 +106,23 @@ def _integer_point(*coords: Fraction) -> Tuple[int, ...]:
     return (q, *(c.numerator * (q // c.denominator) for c in coords))
 
 
-def _int_eval(ints: IntTerms, degree: int, x: int, y: int, q: int) -> int:
-    """The sum of c * x^i * y^j * q^(degree - i - j): q^degree times the value at (x/q, y/q)."""
-    xs, ys, qs = [1], [1], [1]
-    for _ in range(degree):
-        xs.append(xs[-1] * x)
-        ys.append(ys[-1] * y)
-        qs.append(qs[-1] * q)
-    total = 0
-    for (i, j), c in ints.items():
-        total += c * xs[i] * ys[j] * qs[degree - i - j]
-    return total
+def _int_eval(polys: Sequence[IntTerms], degree: int, q: int, points: Iterable[Tuple[int, int]]) -> list:
+    """Per integer point (x, y), the tuple of q^degree times each poly's value at (x/q, y/q)."""
+    homogeneous = [[(i, j, c * q ** (degree - i - j)) for (i, j), c in ints.items()] for ints in polys]
+    values = []
+    for x, y in points:
+        xs, ys = [1], [1]
+        for _ in range(degree):
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
+        at = []
+        for terms in homogeneous:
+            total = 0
+            for i, j, c in terms:
+                total += c * xs[i] * ys[j]
+            at.append(total)
+        values.append(tuple(at))
+    return values
 
 
 def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
@@ -322,7 +328,7 @@ class BivariatePoly:
         """Exact value at a rational point."""
         degree = max(self.degree, 0)
         q, x, y = _integer_point(as_fraction(x0), as_fraction(y0))
-        return Fraction(_int_eval(self._ints, degree, x, y, q), self._den * q**degree)
+        return Fraction(_int_eval([self._ints], degree, q, [(x, y)])[0][0], self._den * q**degree)
 
     def leading_form(self) -> "BivariatePoly":
         """Homogeneous part of top degree; rejects the zero polynomial."""
@@ -408,9 +414,12 @@ class RationalFn:
         """Value equality: a/b == c/d iff a*d - c*b is the zero polynomial."""
         return (self.num * other.den - other.num * self.den).is_zero
 
-    def _int_pair(self) -> Tuple[IntTerms, IntTerms, int]:
-        """Integers (num, den, d) with self(x/q, y/q) = _int_eval(num, d, x, y, q) /
-        _int_eval(den, d, x, y, q), the divisor having the sign of self.den(x/q, y/q)."""
+    def values_at(self, points: Sequence[Tuple[RationalLike, RationalLike]]) -> List[Tuple[int, int]]:
+        """Per point, integers (N, D) with self = N/D there, D of the sign of
+        self.den there (0 at a pole): num and den on integers at their common
+        degree d, all points over one common denominator q."""
+        q, *ints = _integer_point(*(as_fraction(c) for point in points for c in point))
         num = {e: c * self.den._den for e, c in self.num._ints.items()}
         den = {e: c * self.num._den for e, c in self.den._ints.items()}
-        return num, den, max(self.num.degree, self.den.degree)
+        d = max(self.num.degree, self.den.degree)
+        return _int_eval([num, den], d, q, zip(ints[::2], ints[1::2]))

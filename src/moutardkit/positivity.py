@@ -353,11 +353,12 @@ def global_positivity(w: BivariatePoly, max_depth: int = DEFAULT_MAX_DEPTH) -> P
         return PositivityRefutation((Fraction(0), Fraction(0)), w0)
     if w.degree % 2:
         lead = w.leading_form()
-        t = next(t for t in range(int(w.degree) + 1) if lead.evaluate(1, t))
-        point = (Fraction(1), Fraction(t)) if lead.evaluate(1, t) < 0 else (Fraction(-1), Fraction(-t))
-        while w.evaluate(*point) > 0:
+        sections = ((t, lead.evaluate(1, t)) for t in range(int(w.degree) + 1))
+        t, value = next((t, v) for t, v in sections if v)
+        point = (Fraction(1), Fraction(t)) if value < 0 else (Fraction(-1), Fraction(-t))
+        while (value := w.evaluate(*point)) > 0:
             point = (2 * point[0], 2 * point[1])
-        return PositivityRefutation(point, w.evaluate(*point))
+        return PositivityRefutation(point, value)
     if w.degree == 0:
         return PositivityCertificate(w0, Fraction(0), (), 0)
     tree = _BoxTree(w)

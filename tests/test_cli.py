@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -109,6 +110,20 @@ def test_transform_exits_usage_when_the_lemma_fails(monkeypatch, capsys):
 )
 def test_golden_stdout(argv, digest, capsys):
     assert run(*argv) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_console_script_resolves_to_the_cli(monkeypatch, capsys):
+    # an installed `moutardkit` runs sys.exit(target()) for the target that
+    # pyproject.toml declares; the tests themselves import src/ directly
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["moutardkit"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["moutardkit", "example", "1"])
+    assert main() == cli.EXIT_OK
+    digest = dict(GOLDEN_STDOUT_SHA256)[("example", "1")]
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 

@@ -1,12 +1,15 @@
 """The cleared-integer evaluation kernel against Fraction-loop references.
 
-`BivariatePoly.evaluate`, `numeric_residual` and `moutardkit sample` all
-evaluate through `polynomials._int_eval`; the references below are the
-term-by-term `Fraction` evaluation and the `Fraction` stencil they replaced.
+`BivariatePoly.evaluate` and `RationalFn.values_at` evaluate on integers,
+and `numeric_residual` and `moutardkit sample` read `values_at`; the
+references below are the term-by-term `Fraction` evaluation and the
+`Fraction` stencil they replaced.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from moutardkit.errors import PoleTooClose
 from moutardkit.gallery import get_example
 from moutardkit.numeric import numeric_residual, uniform_grid
-from moutardkit.polynomials import BivariatePoly, RationalFn, _int_eval, _integer_point
+from moutardkit.polynomials import BivariatePoly, RationalFn
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moutardkit"
 X, Y = BivariatePoly.variables()
 ONE = BivariatePoly.constant(1)
 REF = get_example(1).reference
@@ -109,17 +113,43 @@ class TestEvaluate:
         assert p.evaluate(-2, "1/2") == fraction_loop_evaluate(p, -2, Fraction(1, 2))
 
     @settings(max_examples=75, deadline=None)
-    @given(any_poly, any_poly, coordinate, coordinate)
-    def test_int_pair_keeps_value_and_denominator_sign(self, num, den, x0, y0):
+    @given(any_poly, any_poly, st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=5))
+    def test_values_at_keeps_value_and_denominator_sign(self, num, den, points):
         if den.is_zero:
             return
-        n, d, degree = RationalFn(num, den)._int_pair()
-        q, x, y = _integer_point(x0, y0)
-        n_value, d_value = _int_eval(n, degree, x, y, q), _int_eval(d, degree, x, y, q)
-        den_value = fraction_loop_evaluate(den, x0, y0)
-        assert (d_value > 0, d_value < 0) == (den_value > 0, den_value < 0)
-        if den_value:
-            assert Fraction(n_value, d_value) == fraction_loop_evaluate(num, x0, y0) / den_value
+        # a pole of den at the first point
+        den = den * (X - BivariatePoly.constant(points[0][0]))
+        pairs = RationalFn(num, den).values_at(points)
+        assert len(pairs) == len(points) and pairs[0][1] == 0
+        scales = set()
+        for (x0, y0), (n, d) in zip(points, pairs):
+            den_value = fraction_loop_evaluate(den, x0, y0)
+            assert (d > 0, d < 0) == (den_value > 0, den_value < 0)
+            if den_value:
+                assert Fraction(n, d) == fraction_loop_evaluate(num, x0, y0) / den_value
+                scales.add(Fraction(d) / den_value)
+        # one common denominator: every D is den's value times the same factor
+        assert len(scales) <= 1
+
+    def test_values_at_accepts_ints_and_strings(self):
+        fn = RationalFn(X * X - Y.scale(Fraction(1, 3)), X - ONE)
+        pairs = fn.values_at([(2, "1/2"), ("1", 0), (Fraction(-1, 4), -3)])
+        assert [Fraction(n, d) if d else None for n, d in pairs] == [
+            Fraction(23, 6), None, Fraction(-17, 20)
+        ]
+
+
+def test_only_polynomials_reads_the_integer_kernel():
+    # the cleared-integer format has one owner: other modules import no
+    # private name of polynomials and reach the kernel through values_at
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "polynomials":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "polynomials":
+                assert not [alias.name for alias in node.names if alias.name.startswith("_")], path.name
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert name not in ("_int_eval", "_integer_point"), path.name
 
 
 def oracle_box(seed):

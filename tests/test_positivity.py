@@ -466,13 +466,20 @@ def random_poly(rng, degree, bound, low=0):
     )
 
 
-def sum_of_squares_input(rng):
-    """p^2 + q^2 + x^(2d+2) + c*y^(2d+2) + r + k, d = 1..3: a non-radial top,
-    so the circle test takes the Sturm path."""
+def sum_of_squares_input(rng, bound=3, scale=1):
+    """p^2 + q^2 + s*(x^(2d+2) + c*y^(2d+2) + r + k), d = 1..3, p and q with
+    coefficients in [-bound, bound]: a non-radial top, so the circle test
+    takes the Sturm path."""
     d = rng.randint(1, 3)
-    p, q = random_poly(rng, d, 3), random_poly(rng, d, 3)
+    p, q = random_poly(rng, d, bound), random_poly(rng, d, bound)
     top = X ** (2 * d + 2) + (Y ** (2 * d + 2)).scale(rng.randint(1, 3))
-    return p * p + q * q + top + random_poly(rng, 2 * d + 1, 2) + BivariatePoly.constant(rng.randint(-3, 6))
+    rest = top + random_poly(rng, 2 * d + 1, 2) + BivariatePoly.constant(rng.randint(-3, 6))
+    return p * p + q * q + rest.scale(scale)
+
+
+def wide_coefficient_input(rng):
+    """The sum-of-squares shape with coefficients up to about 2^20."""
+    return sum_of_squares_input(rng, 2**10, 2**20)
 
 
 def near_touching_input(rng):
@@ -497,12 +504,13 @@ def random_top_input(rng):
     return random_poly(rng, n, 3, n) + random_poly(rng, n - 1, 2) + BivariatePoly.constant(rng.randint(1, 6))
 
 
-# about 100 seeded inputs of the shape of ROADMAP item 2
+# about 110 seeded inputs of the shape of ROADMAP item 2
 RANDOM_INPUTS = [
     (sum_of_squares_input, 56),
     (near_touching_input, 20),
     (odd_degree_input, 12),
     (random_top_input, 12),
+    (wide_coefficient_input, 10),
 ]
 
 

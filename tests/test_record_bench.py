@@ -81,6 +81,23 @@ def test_in_process_child_repeats_the_l2_oracle():
     assert len(result["digests"]) == 1
 
 
+def test_in_process_child_repeats_the_residual_oracle():
+    entry = (
+        "numeric_residual",
+        "get_example(1).reference.u, get_example(1).reference.psi1, uniform_grid(-2, 1, -3, 0, 9), Fraction(1, 1000)",
+    )
+    assert entry in record_bench.IN_PROCESS
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", record_bench.IN_PROCESS_CHILD, json.dumps([entry]), "2"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)[f"{entry[0]}({entry[1]})"]
+    # the residual makes no positivity call
+    assert len(result["times"]) == 2 and result["counts"] == [0]
+    assert len(result["digests"]) == 1
+
+
 def test_in_process_child_records_the_peak_of_one_untimed_call():
     assert ("sweep", "6, 0, 4") in record_bench.IN_PROCESS
     entry = ("verify_example_full", "1")

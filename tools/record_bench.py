@@ -39,7 +39,7 @@ PROCESSES = 12  # in-process interpreters per side
 REPEATS = 7  # calls of each in-process workload per interpreter
 
 # (function, its arguments as Python source in the child's namespace):
-# the box-tree workloads and the L2 oracle
+# the box-tree workloads and the L2 and residual oracles
 IN_PROCESS = [
     ("verify_example_full", "1"),
     ("verify_example_full", "2"),
@@ -49,14 +49,19 @@ IN_PROCESS = [
     ("sweep", "5, 1, 6"),
     ("sweep", "6, 0, 4"),
     ("numeric_l2_norm", "get_example(1).reference.psi1, 12, 128, 128"),
+    (
+        "numeric_residual",
+        "get_example(1).reference.u, get_example(1).reference.psi1, uniform_grid(-2, 1, -3, 0, 9), Fraction(1, 1000)",
+    ),
 ]
 
 # run in a fresh interpreter on one side's src/; prints one JSON object
 IN_PROCESS_CHILD = r"""
 import hashlib, json, sys, time, tracemalloc
+from fractions import Fraction
 from moutardkit import positivity
 from moutardkit.gallery import get_example
-from moutardkit.numeric import numeric_l2_norm
+from moutardkit.numeric import numeric_l2_norm, numeric_residual, uniform_grid
 from moutardkit.search import sweep, verify_example_full
 
 calls = [0]
@@ -69,6 +74,8 @@ def counted(self, *args):
 positivity._BoxTree.bounds = counted
 
 def canonical(out):
+    if isinstance(out, float):  # a residual
+        return out
     if isinstance(out, list):  # a sweep's records
         return [record.to_obj() for record in out]
     if hasattr(out, "to_obj"):  # an L2Estimate
