@@ -55,8 +55,9 @@ def numeric_residual(
     Raises PoleTooClose when a stencil point hits a denominator zero or a
     denominator changes sign across the stencil (a zero inside it). One
     `RationalFn.values_at` call per function gives integer pairs at every
-    stencil point over one common denominator, and each stencil's five
-    pairs combine into one exact residual per grid point.
+    stencil point over one common denominator, the lcm of all of theirs:
+    small on a uniform grid, large when the points' denominators are
+    unrelated. Each stencil's five pairs combine into one exact residual.
     """
     step = as_fraction(h)
     if step <= 0:
