@@ -119,7 +119,7 @@ def _bundle_obj(result) -> dict:
     """The canonical JSON of a `construct.DoubleMoutardResult`."""
     return {
         "W": serialization.poly_to_obj(result.w_poly),
-        "C": serialization.fraction_to_obj(result.constant),
+        "C": serialization.fraction_to_obj(result.w_poly.coefficient(0, 0)),
         "u": serialization.rationalfn_to_obj(result.u),
         "psi1": serialization.rationalfn_to_obj(result.psi1),
         "psi2": serialization.rationalfn_to_obj(result.psi2),
@@ -129,6 +129,7 @@ def _bundle_obj(result) -> dict:
 
 def cmd_example(args) -> int:
     from . import search
+    from .decay import square_summable
 
     report, certificate = search.verify_example_full(args.ident, args.max_depth)
     obj = {
@@ -137,7 +138,7 @@ def cmd_example(args) -> int:
         "u_decay": report.u_report.to_obj(),
         "psi1_decay": report.psi1_report.to_obj(),
         "psi2_decay": report.psi2_report.to_obj(),
-        "l2": {"psi1": report.l2_psi1, "psi2": report.l2_psi2},
+        "l2": {"psi1": square_summable(report.psi1_report), "psi2": square_summable(report.psi2_report)},
         "positivity": certificate.to_obj(),
         "record": report.record.to_obj(),
     }

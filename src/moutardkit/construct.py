@@ -75,7 +75,6 @@ class DoubleMoutardResult(NamedTuple):
     """Output bundle of the double construction."""
 
     w_poly: BivariatePoly
-    constant: Fraction
     u: RationalFn
     psi1: RationalFn
     psi2: RationalFn
@@ -94,7 +93,7 @@ def double_transform(seeds: SeedPair, w: BivariatePoly) -> DoubleMoutardResult:
     directly and proved by `verify_lemma` alone.
     """
     psi1, psi2 = RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w)
-    result = DoubleMoutardResult(w, w.coefficient(0, 0), potential_from_w(seeds.u0, w), psi1, psi2)
+    result = DoubleMoutardResult(w, potential_from_w(seeds.u0, w), psi1, psi2)
     if not verify_lemma(seeds, result):
         raise InvariantViolated("(-Lap + u) psi1 or psi2 != 0")
     return result

@@ -25,7 +25,6 @@ class ReferenceForms(NamedTuple):
 
 
 class BuiltinExample(NamedTuple):
-    ident: int
     seeds: SeedPair
     reference: Optional[ReferenceForms]
     expected_u_decay: int
@@ -63,7 +62,6 @@ def _example_1() -> BuiltinExample:
         psi2=RationalFn(psi2_num, w),
     )
     return BuiltinExample(
-        ident=1,
         seeds=SeedPair.harmonic(omega1, omega2),
         reference=reference,
         expected_u_decay=6,
@@ -96,7 +94,6 @@ def _example_2() -> BuiltinExample:
         }
     )
     return BuiltinExample(
-        ident=2,
         seeds=SeedPair.harmonic(omega1, omega2),
         reference=None,
         expected_u_decay=8,

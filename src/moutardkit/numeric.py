@@ -53,21 +53,27 @@ def numeric_residual(
     """max over the grid of |-Lap_h(psi) + u*psi| with the 5-point stencil.
 
     Raises PoleTooClose when a stencil point hits a denominator zero or a
-    denominator changes sign across the stencil (a zero inside it). One
-    `RationalFn.values_at` call per function gives integer pairs at every
-    stencil point over one common denominator, the lcm of all of theirs:
-    small on a uniform grid, large when the points' denominators are
-    unrelated. Each stencil's five pairs combine into one exact residual.
+    denominator changes sign across the stencil (a zero inside it).
+    `RationalFn.values_at` gives integer pairs at the stencil points, one
+    call per function and per lcm of a centre's two denominators, so
+    unrelated denominators never share a common denominator. Each
+    stencil's five pairs combine into one exact residual.
     """
     step = as_fraction(h)
     if step <= 0:
         raise ValueError("step h must be positive")
     s, t = step.numerator, step.denominator
     points = [p for x, y in grid for p in ((x, y), (x + step, y), (x - step, y), (x, y + step), (x, y - step))]
-    values = {"u": u.values_at(points), "psi": psi.values_at(points)}
+    groups = {}  # centre denominator -> the indices of its stencils' points
+    for k, (x, y) in enumerate(grid):
+        groups.setdefault(math.lcm(x.denominator, y.denominator), []).extend(range(5 * k, 5 * k + 5))
+    values = {"u": {}, "psi": {}}
+    for ks in groups.values():
+        for name, fn in (("u", u), ("psi", psi)):
+            values[name].update(zip(ks, fn.values_at([points[k] for k in ks])))
     worst = Fraction(0)
     for start in range(0, len(points), 5):
-        pairs = {name: at[start : start + 5] for name, at in values.items()}
+        pairs = {name: [at[k] for k in range(start, start + 5)] for name, at in values.items()}
         for k, (px, py) in enumerate(points[start : start + 5]):
             for name, at in pairs.items():
                 if at[k][1] == 0:

@@ -36,7 +36,7 @@ from .construct import (
     transform_family,
 )
 from .decay import DecayReport, decay_exponent, square_summable
-from .errors import Inconclusive, MoutardKitError, NonPositiveLeadingForm, VerificationFailed
+from .errors import Inconclusive, NonPositiveLeadingForm, VerificationFailed
 from .harmonic import conjugate, random_combo
 from .polynomials import BivariatePoly, RationalFn
 from .positivity import (
@@ -52,16 +52,17 @@ COEFFICIENT_BOUND = 5  # seed coefficients of a sweep are drawn from [-5, 5]
 
 
 class SearchRecord(NamedTuple):
-    """One certified (or failed) trial of the construction pipeline."""
+    """One certified (or failed) trial of the construction pipeline; the
+    defaults are a failed trial's, so a failure gives only its error."""
 
     trial: int
     seeds_obj: dict
-    constant: Fraction
-    u_decay: int
-    psi_decay: int
-    positivity: str  # certified | refuted | inconclusive
-    w_degree: int
-    valid: bool
+    constant: Fraction = Fraction(0)
+    u_decay: int = -1
+    psi_decay: int = -1
+    positivity: str = "inconclusive"  # certified | refuted | inconclusive
+    w_degree: int = -1
+    valid: bool = False
     error: str = ""
 
     def to_obj(self) -> dict:
@@ -113,22 +114,6 @@ def _square_hint(oriented: SeedPair) -> Optional[Tuple[BivariatePoly, BivariateP
     return oriented.omega1, conjugate(oriented.omega1)
 
 
-def _record_failure(
-    trial: int, seeds: SeedPair, error: MoutardKitError
-) -> SearchRecord:
-    return SearchRecord(
-        trial=trial,
-        seeds_obj=_seeds_obj(seeds),
-        constant=Fraction(0),
-        u_decay=-1,
-        psi_decay=-1,
-        positivity="inconclusive",
-        w_degree=-1,
-        valid=False,
-        error=type(error).__name__,
-    )
-
-
 def _draw_pair(rng: random.Random, degree: int, coefficient_bound: int) -> SeedPair:
     """A random seed pair of exact top degree, alternating two families.
 
@@ -146,10 +131,10 @@ def _draw_pair(rng: random.Random, degree: int, coefficient_bound: int) -> SeedP
 
     omega1 = draw_exact_degree()
     if rng.randint(0, 1):
+        # never a multiple of omega1: omega1 + i*conj(omega1) would then be
+        # holomorphic with values on one line, hence constant
         mix = Fraction(rng.randint(-2, 2))
-        omega2 = conjugate(omega1) + omega1.scale(mix)
-        if not proportional(omega1, omega2):
-            return SeedPair.harmonic(omega1, omega2)
+        return SeedPair.harmonic(omega1, conjugate(omega1) + omega1.scale(mix))
     omega2 = draw_exact_degree()
     while proportional(omega1, omega2):
         omega2 = draw_exact_degree()
@@ -157,45 +142,35 @@ def _draw_pair(rng: random.Random, degree: int, coefficient_bound: int) -> SeedP
 
 
 class TrialReport(NamedTuple):
-    """Everything the pipeline produced for one certified trial."""
+    """Everything the pipeline produced for one certified trial.
+
+    psi1 and psi2 have denominator W > 0, so each is square-summable
+    exactly when `square_summable` holds of its decay report.
+    """
 
     record: SearchRecord
     result: DoubleMoutardResult
     u_report: DecayReport
     psi1_report: DecayReport
     psi2_report: DecayReport
-    l2_psi1: bool
-    l2_psi2: bool
 
 
 def _trial_report(trial: int, oriented: SeedPair, result: DoubleMoutardResult) -> TrialReport:
-    """Analyze a transformed pair whose W = F + C the caller has proved positive.
-
-    psi1 and psi2 have denominator W > 0, so their L2 flags are the decay
-    half of the rule, `square_summable`.
-    """
+    """Analyze a transformed pair whose W = F + C the caller has proved positive."""
     u_report = decay_exponent(result.u)
     psi1_report = decay_exponent(result.psi1)
     psi2_report = decay_exponent(result.psi2)
     record = SearchRecord(
         trial=trial,
         seeds_obj=_seeds_obj(oriented),
-        constant=result.constant,
+        constant=result.w_poly.coefficient(0, 0),
         u_decay=u_report.exponent,
         psi_decay=min(psi1_report.exponent, psi2_report.exponent),
         positivity="certified",
         w_degree=int(result.w_poly.degree),
         valid=u_report.bound_valid and psi1_report.bound_valid and psi2_report.bound_valid,
     )
-    return TrialReport(
-        record=record,
-        result=result,
-        u_report=u_report,
-        psi1_report=psi1_report,
-        psi2_report=psi2_report,
-        l2_psi1=square_summable(psi1_report),
-        l2_psi2=square_summable(psi2_report),
-    )
+    return TrialReport(record, result, u_report, psi1_report, psi2_report)
 
 
 def run_trial(
@@ -214,7 +189,7 @@ def run_trial(
         oriented, f = orient_for_positivity(seeds)
         constant = min_positive_constant(f, max_depth, _square_hint(oriented))
     except (NonPositiveLeadingForm, Inconclusive) as exc:
-        return _record_failure(trial, seeds, exc)
+        return SearchRecord(trial, _seeds_obj(seeds), error=type(exc).__name__)
     result = double_transform(oriented, f + BivariatePoly.constant(constant))
     return _trial_report(trial, oriented, result).record
 
@@ -292,5 +267,8 @@ def verify_example_full(
         ("psi2", report.psi2_report, example.expected_psi_decay),
     ):
         _check(decay.bound_valid and decay.exponent == rate, f"{name} decays at rate {rate}")
-    _check(report.l2_psi1 and report.l2_psi2, "kernel functions are square-summable")
+    _check(
+        square_summable(report.psi1_report) and square_summable(report.psi2_report),
+        "kernel functions are square-summable",
+    )
     return report, certificate

@@ -18,7 +18,7 @@ from moutardkit.construct import (
     transform_family,
     verify_lemma,
 )
-from moutardkit import construct, search
+from moutardkit import cli, construct, search
 from moutardkit.errors import (
     InvariantViolated,
     NoAffineMatch,
@@ -139,9 +139,11 @@ class TestDoubleTransform:
             double_transform(seeds, w)
 
     def test_constant_is_read_off_w(self):
+        # the bundle's C is W(0,0), also for W = lambda*F + C with lambda != 1
         seeds = SeedPair.harmonic(X, Y)
         w = transform_family(seeds).scale(-3) + BivariatePoly.constant(Fraction(7, 2))
-        assert double_transform(seeds, w).constant == Fraction(7, 2)
+        bundle = cli._bundle_obj(double_transform(seeds, w))
+        assert bundle["C"] == {"num": "7", "den": "2"}
 
 
 class TestScalingInvariance:
@@ -206,7 +208,7 @@ def lemma_forms(seeds, w):
     (-Lap + u) psi_i = 0 for u = u0 - 2 Lap log W, and theta_i = +-W/omega_i
     in the kernel of u0 - 2 Lap log omega_i."""
     u = potential_from_w(seeds.u0, w)
-    bundle = DoubleMoutardResult(w, Fraction(0), u, RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w))
+    bundle = DoubleMoutardResult(w, u, RationalFn(seeds.omega1, w), RationalFn(-seeds.omega2, w))
     return verify_lemma(seeds, bundle), [
         (
             verify_solution(u, RationalFn(sign * omega, w)),

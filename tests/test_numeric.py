@@ -1,6 +1,7 @@
 """Floating-point oracles: finite differences and the L2 estimate."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,34 @@ def test_reference_pair_residual_small_and_second_order():
         res_half = numeric_residual(REF.u, psi, grid, h / 2)
         assert res_h < 1e-3
         assert 3.5 < res_h / res_half < 4.5
+
+
+def test_residual_gives_unrelated_stencils_no_common_denominator(monkeypatch):
+    # centres with unrelated denominators up to 10^4; each values_at call
+    # is over a denominator no larger than one stencil's own
+    rng = random.Random(0)
+
+    def coordinate():
+        return Fraction(rng.randint(-3 * 10**4, 10**4), rng.randint(1, 10**4))
+
+    grid = [(coordinate(), coordinate()) for _ in range(25)]
+    h = Fraction(1, 1000)
+
+    def denominator(points):
+        return math.lcm(*(c.denominator for point in points for c in point))
+
+    largest = max(denominator([(x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h)]) for x, y in grid)
+    one_at_a_time = max(numeric_residual(REF.u, REF.psi1, [point], h) for point in grid)
+    seen = []
+    values_at = RationalFn.values_at
+
+    def recording(fn, points):
+        seen.append(denominator(points))
+        return values_at(fn, points)
+
+    monkeypatch.setattr(RationalFn, "values_at", recording)
+    assert numeric_residual(REF.u, REF.psi1, grid, h) == one_at_a_time
+    assert seen and max(seen) <= largest
 
 
 def test_pole_on_grid_detected():

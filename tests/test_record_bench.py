@@ -98,6 +98,21 @@ def test_in_process_child_repeats_the_residual_oracle():
     assert len(result["digests"]) == 1
 
 
+def test_in_process_child_repeats_the_residual_on_unrelated_denominators():
+    # 25 centres with unrelated denominators, where one common
+    # denominator for the whole grid would grow large
+    (entry,) = [e for e in record_bench.IN_PROCESS if e[0] == "numeric_residual" and "uniform_grid" not in e[1]]
+    assert "for k in range(25)" in entry[1]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", record_bench.IN_PROCESS_CHILD, json.dumps([entry]), "2"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)[f"{entry[0]}({entry[1]})"]
+    assert len(result["times"]) == 2 and result["counts"] == [0]
+    assert len(result["digests"]) == 1
+
+
 def test_in_process_child_records_the_peak_of_one_untimed_call():
     assert ("sweep", "6, 0, 4") in record_bench.IN_PROCESS
     entry = ("verify_example_full", "1")

@@ -57,6 +57,22 @@ def test_draw_pair_stream_is_pinned(degree):
     assert digest == DRAW_PAIR_SHA256[degree]
 
 
+# (degree, seed): swapped and unswapped orientations, and pairs with no
+# positive orientation (2, 51) and (3, 26)
+@pytest.mark.parametrize("degree,seed", [(2, 0), (2, 1), (2, 51), (3, 0), (3, 4), (3, 26), (4, 0)])
+def test_sweep_of_one_trial_records_the_oriented_draw_pair(degree, seed):
+    # the benchmark predicts the pair of `search --trials 1 --seed k` with
+    # _draw_pair(Random(k), d, 5) and orients it the way run_trial does
+    pair = search._draw_pair(random.Random(seed), degree, search.COEFFICIENT_BOUND)
+    (record,) = search.sweep(degree, seed, 1)
+    try:
+        oriented, _ = search.orient_for_positivity(pair)
+    except NonPositiveLeadingForm:
+        oriented = pair
+        assert record.error == "NonPositiveLeadingForm"
+    assert record.seeds_obj == search._seeds_obj(oriented)
+
+
 def reference_min_positive_constant(f, max_depth=DEFAULT_MAX_DEPTH):
     """The constant bisection with one full global_positivity(F + c) per
     probe, each building its own certificate."""
@@ -278,7 +294,7 @@ def test_run_trial_bounds_no_box_on_a_conjugate_type_pair(monkeypatch, degree, s
     hint = search._square_hint(oriented)
     assert search.min_positive_constant(f, DEFAULT_MAX_DEPTH, hint) == constant
     assert two_squares(w, *hint).floor == constant
-    assert (boxed.l2_psi1, boxed.l2_psi2) == (True, True)
+    assert decay.square_summable(boxed.psi1_report) and decay.square_summable(boxed.psi2_report)
 
 
 def test_run_trial_certified_record():
@@ -317,4 +333,4 @@ def test_example_certifies_w_once(monkeypatch, ident, calls):
     assert len({tuple(w.items()) for w in seen}) == calls
     assert seen[-1] == report.result.w_poly
     assert certificate == global_positivity(seen[-1])
-    assert report.l2_psi1 and report.l2_psi2
+    assert decay.square_summable(report.psi1_report) and decay.square_summable(report.psi2_report)

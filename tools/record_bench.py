@@ -39,7 +39,8 @@ PROCESSES = 12  # in-process interpreters per side
 REPEATS = 7  # calls of each in-process workload per interpreter
 
 # (function, its arguments as Python source in the child's namespace):
-# the box-tree workloads and the L2 and residual oracles
+# the box-tree workloads, the L2 oracle, and the residual oracle on a
+# uniform grid and on 25 centres with unrelated denominators
 IN_PROCESS = [
     ("verify_example_full", "1"),
     ("verify_example_full", "2"),
@@ -52,6 +53,12 @@ IN_PROCESS = [
     (
         "numeric_residual",
         "get_example(1).reference.u, get_example(1).reference.psi1, uniform_grid(-2, 1, -3, 0, 9), Fraction(1, 1000)",
+    ),
+    (
+        "numeric_residual",
+        "get_example(1).reference.u, get_example(1).reference.psi1, "
+        "[(Fraction(300 * k - 3601, 1009 + 397 * k), Fraction(-250 * k - 1, 991 + 401 * k)) for k in range(25)], "
+        "Fraction(1, 1000)",
     ),
 ]
 
